@@ -11,20 +11,17 @@ import argparse
 import json
 import sys
 
-from .criteria import ALL_PROFILES, classify_profile, residue_profile
+from .criteria import residue_profile
 from .descent import descend, selmer_group
 from .errors import DescentError
 from .survey import (
     REFERENCE_GRID,
     FamilySpec,
+    check_grid_row,
     render_ndjson,
     run_survey,
     verify_reference,
 )
-
-
-def _sign(x: int) -> str:
-    return f"{x:+d}"
 
 
 def _render_classify(rep) -> str:
@@ -108,12 +105,7 @@ def _cmd_grid(args) -> int:
             "example": list(row.example),
         }
         if args.verify:
-            pc = classify_profile(row.profile)
-            ok = (
-                pc.rank_bound == row.rank_bound
-                and pc.sha_psi_dim == len(row.sha_psi)
-                and residue_profile(*row.example) == row.profile
-            )
+            ok = all(c.passed for c in check_grid_row(i, row))
             entry["verified"] = ok
             all_ok = all_ok and ok
         rows_out.append(entry)

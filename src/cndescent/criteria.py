@@ -45,7 +45,7 @@ from .quadring import (
     split_prime,
     symbol_capital,
 )
-from .sqclass import SquareClassGroup, squarefree_mul
+from .sqclass import LABELS, SquareClassGroup, concretize, label_span
 
 # --- the residue profile ----------------------------------------------------
 
@@ -127,21 +127,9 @@ def psi_obstructed(profile: ResidueProfile) -> bool:
     return not any(psi_case_holds(case, profile) for case in PSI_CASES)
 
 
-def psi_obstruction(p: int, l: int) -> SquareClassGroup:
-    """Certified subgroup of Sha on the psi side, as concrete classes.
-
-    Either trivial or <p>: the free classes <-1, pl> always have points,
-    so the quotient of the psi Selmer group <-1, p, l> is generated by
-    the image of p.
-    """
-    if psi_obstructed(residue_profile(p, l)):
-        return SquareClassGroup.span(p)
-    return SquareClassGroup.trivial()
-
-
 # --- phi side: seven class conditions ----------------------------------------
 
-PHI_CLASSES = ("2", "p", "2p", "l", "2l", "pl", "2pl")
+PHI_CLASSES = LABELS[1:]
 
 
 def phi_class_holds(cls: str, profile: ResidueProfile) -> bool:
@@ -168,32 +156,6 @@ def phi_pass_classes(profile: ResidueProfile) -> frozenset[str]:
     return frozenset(c for c in PHI_CLASSES if phi_class_holds(c, profile))
 
 
-_SYMBOLIC_ORDER = ("2", "p", "2p", "l", "2l", "pl", "2pl")
-_SYMBOLIC_MUL = {}
-
-
-def _symbolic_mul(x: str, y: str) -> str:
-    """Product in the group {1,2,p,2p,l,2l,pl,2pl} mod squares."""
-    if not _SYMBOLIC_MUL:
-        vec = {"1": 0b000, "2": 0b001, "p": 0b010, "2p": 0b011,
-               "l": 0b100, "2l": 0b101, "pl": 0b110, "2pl": 0b111}
-        inv = {v: k for k, v in vec.items()}
-        for s, sv in vec.items():
-            for t, tv in vec.items():
-                _SYMBOLIC_MUL[(s, t)] = inv[sv ^ tv]
-    return _SYMBOLIC_MUL[(x, y)]
-
-
-def _symbolic_span(gens) -> frozenset[str]:
-    elems = {"1"}
-    for g in gens:
-        elems |= {_symbolic_mul(g, e) for e in list(elems)}
-    # closure (dim <= 3, two passes suffice)
-    for _ in range(2):
-        elems |= {_symbolic_mul(x, y) for x in list(elems) for y in list(elems)}
-    return frozenset(elems)
-
-
 @dataclass(frozen=True)
 class ProfileClassification:
     """Symbolic classification of one residue profile."""
@@ -212,17 +174,17 @@ class ProfileClassification:
 def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     """Pure sign logic: W candidates, certified Sha dimensions, rank bound."""
     passing = phi_pass_classes(profile)
-    w = _symbolic_span(passing) if passing else frozenset({"1"})
+    w = label_span(passing)
     if not (passing | {"1"}) == w:
         raise InconsistentCriteria(
             f"phi pass set {sorted(passing)} is not a group for {profile}"
         )
-    failing = [c for c in _SYMBOLIC_ORDER if c not in w]
+    failing = [c for c in PHI_CLASSES if c not in w]
     # canonical complement: greedy over failing classes in the fixed order
     comp: frozenset[str] = frozenset({"1"})
     target = 8 // len(w)
     for c in failing:
-        cand = _symbolic_span(set(comp - {"1"}) | {c})
+        cand = label_span(comp | {c})
         if all(x == "1" or x in failing for x in cand):
             comp = cand
             if len(comp) == target:
@@ -244,21 +206,9 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     )
 
 
-def _concretize(symbolic: frozenset[str], p: int, l: int) -> SquareClassGroup:
-    values = {"1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l, "2l": 2 * l,
-              "pl": p * l, "2pl": 2 * p * l}
-    return SquareClassGroup.from_elements({values[s] for s in symbolic})
-
-
-def phi_obstruction(
-    p: int, l: int
-) -> tuple[SquareClassGroup, SquareClassGroup]:
-    """(W candidates, certified Sha complement) for the phi side, concrete."""
-    pc = classify_profile(residue_profile(p, l))
-    return _concretize(pc.w_phi, p, l), _concretize(pc.sha_phi_complement, p, l)
-
-
 # --- classifications per family ----------------------------------------------
+
+_ONE = SquareClassGroup.trivial()
 
 
 @dataclass(frozen=True)
@@ -284,30 +234,57 @@ class Classification:
         return self.rank_bound == 0
 
 
-def classify_11_plus(p: int, l: int) -> Classification:
-    """k = pl, p = l = 1 mod 8, (p/l) = +1: the 32-profile grid."""
-    profile = residue_profile(p, l)
-    pc = classify_profile(profile)
-    k = p * l
-    s_psi = SquareClassGroup.span(-1, p, l)
-    s_phi = SquareClassGroup.span(2, p, l)
-    sha_psi = SquareClassGroup.span(p) if pc.sha_psi_dim else SquareClassGroup.trivial()
-    w_phi = _concretize(pc.w_phi, p, l)
-    sha_phi = _concretize(pc.sha_phi_complement, p, l)
-    rank_bound = pc.rank_bound
+def _classification(
+    family: str,
+    p: int,
+    l: int | None,
+    selmer_psi: SquareClassGroup,
+    selmer_phi: SquareClassGroup,
+    sha_psi: SquareClassGroup = _ONE,
+    sha_phi: SquareClassGroup = _ONE,
+    w_phi: SquareClassGroup = _ONE,
+    profile: ResidueProfile | None = None,
+    notes: tuple[str, ...] = (),
+) -> Classification:
+    """The one builder: k = pl (or 2p when l is None), and
+
+        rank <= dim Sel^psi + dim Sel^phi - 2 - dim Sha^psi - dim Sha^phi,
+
+    with dim Sha(E)[2] = dim Sha^psi + dim Sha^phi known when that is 0.
+    """
+    rank_bound = selmer_psi.dim + selmer_phi.dim - 2 - sha_psi.dim - sha_phi.dim
     return Classification(
-        family="pl-1mod8-plus",
-        k=k,
+        family=family,
+        k=2 * p if l is None else p * l,
         p=p,
         l=l,
         profile=profile,
-        selmer_psi=s_psi,
-        selmer_phi=s_phi,
+        selmer_psi=selmer_psi,
+        selmer_phi=selmer_phi,
         sha_psi=sha_psi,
         sha_phi=sha_phi,
         w_phi=w_phi,
         rank_bound=rank_bound,
         sha2_dim=(sha_psi.dim + sha_phi.dim) if rank_bound == 0 else None,
+        notes=notes,
+    )
+
+
+def classify_11_plus(p: int, l: int) -> Classification:
+    """k = pl, p = l = 1 mod 8, (p/l) = +1: the 32-profile grid."""
+    profile = residue_profile(p, l)
+    pc = classify_profile(profile)
+    return _classification(
+        "pl-1mod8-plus",
+        p,
+        l,
+        SquareClassGroup.span(-1, p, l),
+        SquareClassGroup.span(2, p, l),
+        # Sha^psi is trivial or <p>: the classes <-1, pl> always have points
+        sha_psi=SquareClassGroup.span(p) if pc.sha_psi_dim else _ONE,
+        sha_phi=concretize(pc.sha_phi_complement, p, l),
+        w_phi=concretize(pc.w_phi, p, l),
+        profile=profile,
     )
 
 
@@ -325,35 +302,21 @@ def classify_11_minus(p: int, l: int) -> Classification:
     if jacobi(p, l) != -1:
         raise FamilyMismatch(f"classify_11_minus needs (p/l) = -1 for ({p}, {l})")
     k = p * l
-    s_psi = SquareClassGroup.span(-1, k)
     s_phi = SquareClassGroup.span(2, k)
     cp, cl = octic_minus4(p), octic_minus4(l)
-    notes = (
-        f"class 2 and 2pl need (-4/p)8 = (-4/l)8; got {cp:+d}, {cl:+d}",
-        f"class pl needs (-4/pl)8 = +1; got {cp * cl:+d}",
-    )
-    if cp * cl == -1:
-        sha_phi = s_phi
-        w_phi = SquareClassGroup.trivial()
-        rank_bound = 0
-    else:
-        sha_phi = SquareClassGroup.trivial()
-        w_phi = s_phi
-        rank_bound = 2
-    return Classification(
-        family="pl-1mod8-minus",
-        k=k,
-        p=p,
-        l=l,
-        profile=None,
-        selmer_psi=s_psi,
-        selmer_phi=s_phi,
-        sha_psi=SquareClassGroup.trivial(),
-        sha_phi=sha_phi,
-        w_phi=w_phi,
-        rank_bound=rank_bound,
-        sha2_dim=sha_phi.dim if rank_bound == 0 else None,
-        notes=notes,
+    obstructed = cp * cl == -1
+    return _classification(
+        "pl-1mod8-minus",
+        p,
+        l,
+        SquareClassGroup.span(-1, k),
+        s_phi,
+        sha_phi=s_phi if obstructed else _ONE,
+        w_phi=_ONE if obstructed else s_phi,
+        notes=(
+            f"class 2 and 2pl need (-4/p)8 = (-4/l)8; got {cp:+d}, {cl:+d}",
+            f"class pl needs (-4/pl)8 = +1; got {cp * cl:+d}",
+        ),
     )
 
 
@@ -362,39 +325,18 @@ def classify_2p(p: int) -> Classification:
     Sha[psi] = Sha[phi] = <p> when p = 9 mod 16."""
     if p % 8 != 1 or not is_prime(p):
         raise FamilyMismatch(f"classify_2p needs a prime = 1 mod 8, got {p}")
-    k = 2 * p
-    s_psi = SquareClassGroup.span(-1, 2, p)
     s_phi = SquareClassGroup.span(p)
-    if p % 16 == 9:
-        sha = SquareClassGroup.span(p)
-        return Classification(
-            family="2p",
-            k=k,
-            p=p,
-            l=None,
-            profile=None,
-            selmer_psi=s_psi,
-            selmer_phi=s_phi,
-            sha_psi=sha,
-            sha_phi=sha,
-            w_phi=SquareClassGroup.trivial(),
-            rank_bound=0,
-            sha2_dim=2,
-        )
-    return Classification(
-        family="2p",
-        k=k,
-        p=p,
-        l=None,
-        profile=None,
-        selmer_psi=s_psi,
-        selmer_phi=s_phi,
-        sha_psi=SquareClassGroup.trivial(),
-        sha_phi=SquareClassGroup.trivial(),
-        w_phi=s_phi,
-        rank_bound=2,
-        sha2_dim=None,
-        notes=(f"p = {p % 16} mod 16: no obstruction certificate",),
+    obstructed = p % 16 == 9
+    return _classification(
+        "2p",
+        p,
+        None,
+        SquareClassGroup.span(-1, 2, p),
+        s_phi,
+        sha_psi=s_phi if obstructed else _ONE,
+        sha_phi=s_phi if obstructed else _ONE,
+        w_phi=_ONE if obstructed else s_phi,
+        notes=() if obstructed else (f"p = {p % 16} mod 16: no obstruction certificate",),
     )
 
 
@@ -441,22 +383,8 @@ def classify_small_residues(p: int, l: int) -> Classification:
         )
     k = p * l
     if r == 3:
-        return Classification(
-            family="pl-3mod8",
-            k=k,
-            p=p,
-            l=l,
-            profile=None,
-            selmer_psi=SquareClassGroup.span(-1, k),
-            selmer_phi=SquareClassGroup.trivial(),
-            sha_psi=SquareClassGroup.trivial(),
-            sha_phi=SquareClassGroup.trivial(),
-            w_phi=SquareClassGroup.trivial(),
-            rank_bound=0,
-            sha2_dim=0,
-        )
+        return _classification("pl-3mod8", p, l, SquareClassGroup.span(-1, k), _ONE)
     if r == 5:
-        s_psi = SquareClassGroup.span(-1, k)
         if jacobi(p, l) == 1:
             s_phi = SquareClassGroup.span(p, l)
             obstructed = quartic_symbol(p, l) != quartic_symbol(l, p)
@@ -467,63 +395,48 @@ def classify_small_residues(p: int, l: int) -> Classification:
             sym = _gauss_unit_symbol(p, l)
             obstructed = sym == -1
             note = f"criterion: [(1+i)pi/lambda] = {sym:+d} at the pinned pi"
-        if obstructed:
-            sha_phi = s_phi
-            w_phi = SquareClassGroup.trivial()
-            rank_bound = 0
-        else:
-            sha_phi = SquareClassGroup.trivial()
-            w_phi = s_phi
-            rank_bound = 2
-        return Classification(
-            family="pl-5mod8",
-            k=k,
-            p=p,
-            l=l,
-            profile=None,
-            selmer_psi=s_psi,
-            selmer_phi=s_phi,
-            sha_psi=SquareClassGroup.trivial(),
-            sha_phi=sha_phi,
-            w_phi=w_phi,
-            rank_bound=rank_bound,
-            sha2_dim=sha_phi.dim if rank_bound == 0 else None,
+        return _classification(
+            "pl-5mod8",
+            p,
+            l,
+            SquareClassGroup.span(-1, k),
+            s_phi,
+            sha_phi=s_phi if obstructed else _ONE,
+            w_phi=_ONE if obstructed else s_phi,
             notes=(note,),
         )
     # r == 7: order so that (p/l) = +1 (always possible: the two Legendre
     # symbols are opposite for p = l = 3 mod 4)
     if jacobi(p, l) != 1:
         p, l = l, p
-    s_psi = SquareClassGroup.span(-1, p, l)
     s_phi = SquareClassGroup.span(2)
     lam = primary_associate_mod4(split_prime(l, SQRT2))
     cap_pi = primary_associate(split_prime(p, SQRT2))
     sym = ring_symbol(lam, cap_pi)
-    if sym == -1:
-        sha_psi = SquareClassGroup.span(p)
-        sha_phi = SquareClassGroup.span(2)
-        w_phi = SquareClassGroup.trivial()
-        rank_bound = 0
-    else:
-        sha_psi = SquareClassGroup.trivial()
-        sha_phi = SquareClassGroup.trivial()
-        w_phi = s_phi
-        rank_bound = 2
-    return Classification(
-        family="pl-7mod8",
-        k=p * l,
-        p=p,
-        l=l,
-        profile=None,
-        selmer_psi=s_psi,
-        selmer_phi=s_phi,
-        sha_psi=sha_psi,
-        sha_phi=sha_phi,
-        w_phi=w_phi,
-        rank_bound=rank_bound,
-        sha2_dim=(sha_psi.dim + sha_phi.dim) if rank_bound == 0 else None,
+    obstructed = sym == -1
+    return _classification(
+        "pl-7mod8",
+        p,
+        l,
+        SquareClassGroup.span(-1, p, l),
+        s_phi,
+        sha_psi=SquareClassGroup.span(p) if obstructed else _ONE,
+        sha_phi=s_phi if obstructed else _ONE,
+        w_phi=_ONE if obstructed else s_phi,
         notes=(f"criterion: [Lambda/Pi] = {sym:+d}, Lambda of norm -{l}",),
     )
+
+
+def classify_pair(p: int, l: int) -> Classification | None:
+    """Dispatch k = pl, for distinct odd primes p < l, to its family by the
+    residues mod 8; None when no family covers the pair."""
+    if p % 8 != l % 8:
+        return None
+    if p % 8 == 1:
+        if jacobi(p, l) == 1:
+            return classify_11_plus(p, l)
+        return classify_11_minus(p, l)
+    return classify_small_residues(p, l)
 
 
 def classify_auto(k: int) -> Classification | None:
@@ -532,17 +445,11 @@ def classify_auto(k: int) -> Classification | None:
     if f.sign < 0 or f.value != f.radical:
         return None  # not squarefree positive: no criteria apply
     ps = [q for q, _ in f.factors]
-    if len(ps) == 2 and ps[0] == 2 and ps[1] % 8 == 1:
-        return classify_2p(ps[1])
-    if len(ps) == 2 and ps[0] % 2 == 1:
-        p, l = ps
-        if p % 8 == l % 8 == 1:
-            if jacobi(p, l) == 1:
-                return classify_11_plus(p, l)
-            return classify_11_minus(p, l)
-        if p % 8 == l % 8 and p % 8 in (3, 5, 7):
-            return classify_small_residues(p, l)
-    return None
+    if len(ps) != 2:
+        return None
+    if ps[0] == 2:
+        return classify_2p(ps[1]) if ps[1] % 8 == 1 else None
+    return classify_pair(*ps)
 
 
 # --- general-k necessary conditions (phi side) --------------------------------

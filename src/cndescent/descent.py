@@ -15,12 +15,12 @@ partner curve the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import factor
-from .errors import BudgetExceeded, DescentError, InconsistentCriteria
-from .sqclass import SquareClassGroup, squarefree_mul
+from .errors import DescentError, InconsistentCriteria
+from .sqclass import SquareClassGroup
 
 PSI = "psi"
 PHI = "phi"
@@ -54,10 +54,6 @@ class CurvePair:
 
     def constant(self, side: str) -> int:
         return self.psi_constant if side == PSI else self.phi_constant
-
-    @property
-    def k_squarefree_part(self) -> int:
-        return factor(self.k).squarefree_part()
 
 
 @dataclass(frozen=True)
@@ -268,6 +264,14 @@ def search_points(
     return found
 
 
+def witnesses_json(witnesses: dict[str, dict[int, TorsorPoint]]) -> dict:
+    """{side: {str(b1): [N, M, e]}}, the witness shape of every JSON output."""
+    return {
+        side: {str(b1): [pt.N, pt.M, pt.e] for b1, pt in w.items()}
+        for side, w in witnesses.items()
+    }
+
+
 @dataclass
 class DescentReport:
     k: int
@@ -300,10 +304,7 @@ class DescentReport:
             "sha2_dim": self.sha2_dim,
             "noncongruent": self.noncongruent,
             "height": self.height,
-            "witnesses": {
-                side: {str(b1): [pt.N, pt.M, pt.e] for b1, pt in w.items()}
-                for side, w in self.witnesses.items()
-            },
+            "witnesses": witnesses_json(self.witnesses),
             "notes": list(self.notes),
         }
 

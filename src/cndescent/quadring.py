@@ -10,8 +10,6 @@ suite, not assumed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .arith import is_prime
@@ -132,30 +130,10 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
         g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, int(r), -1))
         if abs(g.norm) == p:
             return g
-    return _split_exhaustive(p, ring)
-
-
-def _split_exhaustive(p: int, ring: Ring) -> QuadInt:
-    # fallback for small p; the gcd route should never get here
-    if p >= 10**6:
-        raise SplitFailed(f"norm equation for {p} in {ring} not solved")
-    top = 2 * isqrt(p) + 2
-    for b in range(top):
-        a2 = p + ring.omega2 * b * b
-        if a2 >= 0:
-            a = isqrt(a2)
-            if a * a == a2:
-                return QuadInt(ring, a, b)
-        if ring is SQRT2:
-            a2 = 2 * b * b - p
-            if a2 >= 0:
-                a = isqrt(a2)
-                if a * a == a2:
-                    return QuadInt(ring, a, b)
     raise SplitFailed(f"norm equation for {p} in {ring} not solved")
 
 
-def _unit_candidates(ring: Ring, extended: bool = False):
+def _unit_candidates(ring: Ring):
     """Yields (|exponent|, unit) pairs; both signs of each power."""
     if ring is GAUSS:
         yield 0, QuadInt(ring, 1, 0)
@@ -167,11 +145,9 @@ def _unit_candidates(ring: Ring, extended: bool = False):
         yield 0, QuadInt(ring, 1, 0)
         yield 0, QuadInt(ring, -1, 0)
         return
-    # Z[sqrt2]: +-eps2^n, |n| <= 2 normally (covers every unit class
-    # mod 2 sqrt 2), |n| <= 6 in the extended sweep
-    bound = 6 if extended else 2
+    # Z[sqrt2]: +-eps2^n, |n| <= 2 (covers every unit class mod 2 sqrt 2)
     powers = {0: QuadInt(SQRT2, 1, 0)}
-    for n in range(1, bound + 1):
+    for n in (1, 2):
         powers[n] = powers[n - 1] * EPS2
         powers[-n] = powers[-(n - 1)] * EPS2_INV
     for n, u in powers.items():
@@ -188,17 +164,16 @@ def primary_associate(alpha: QuadInt) -> QuadInt:
     """
     if alpha.norm % 2 == 0:
         raise NoPrimaryAssociate(f"{alpha} has even norm")
-    for extended in (False, True):
-        best: tuple | None = None
-        for conj_flag, base in ((0, alpha), (1, alpha.conj())):
-            for n, u in _unit_candidates(alpha.ring, extended):
-                cand = u * base
-                if cand.is_primary():
-                    key = (n, cand.a <= 0, cand.b <= 0, conj_flag)
-                    if best is None or key < best[0]:
-                        best = (key, cand)
-        if best is not None:
-            return best[1]
+    best: tuple | None = None
+    for conj_flag, base in ((0, alpha), (1, alpha.conj())):
+        for n, u in _unit_candidates(alpha.ring):
+            cand = u * base
+            if cand.is_primary():
+                key = (n, cand.a <= 0, cand.b <= 0, conj_flag)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+    if best is not None:
+        return best[1]
     raise NoPrimaryAssociate(f"no primary associate of {alpha}")
 
 
@@ -214,11 +189,10 @@ def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
         raise BadResidueClass("mod-4 normalization is specific to Z[sqrt2]")
     if alpha.norm % 2 == 0:
         raise NoPrimaryAssociate(f"{alpha} has even norm")
-    for extended in (False, True):
-        for _n, u in _unit_candidates(SQRT2, extended):
-            cand = u * alpha
-            if cand.b % 2 == 0 and (cand.a + cand.b) % 4 == 1:
-                return cand
+    for _n, u in _unit_candidates(SQRT2):
+        cand = u * alpha
+        if cand.b % 2 == 0 and (cand.a + cand.b) % 4 == 1:
+            return cand
     raise NoPrimaryAssociate(f"no mod-4 primary associate of {alpha}")
 
 

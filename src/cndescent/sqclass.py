@@ -1,9 +1,11 @@
-"""Finite subgroups of Q*/Q*^2, represented by squarefree integers."""
+"""Finite subgroups of Q*/Q*^2: concrete groups of squarefree integers, and
+the label group over the basis (2, p, l) in which the criteria name them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import xor
 
 from .errors import NotAGroup
 
@@ -12,6 +14,19 @@ def squarefree_mul(a: int, b: int) -> int:
     """Product of square classes: squarefree representative of a*b."""
     g = gcd(a, b)
     return (a // g) * (b // g)
+
+
+def _double(generators, mul, one) -> set:
+    """Span by doubling: G <- G u gG for each g not yet in G.
+
+    In an elementary abelian 2-group, G u gG is again a group, so no
+    closure pass is needed after a generator.
+    """
+    elems = {one}
+    for g in generators:
+        if g not in elems:
+            elems |= {mul(g, e) for e in elems}
+    return elems
 
 
 @dataclass(frozen=True)
@@ -26,19 +41,9 @@ class SquareClassGroup:
 
     @staticmethod
     def span(*generators: int) -> "SquareClassGroup":
-        elems = {1}
-        for g in generators:
-            if g == 0:
-                raise ValueError("0 is not a square class")
-            new = {squarefree_mul(g, e) for e in elems}
-            elems |= new
-            # one more closure pass; dim grows by at most 1 per generator
-            changed = True
-            while changed:
-                extra = {squarefree_mul(a, b) for a in elems for b in elems}
-                changed = not extra <= elems
-                elems |= extra
-        return SquareClassGroup(frozenset(elems))
+        if 0 in generators:
+            raise ValueError("0 is not a square class")
+        return SquareClassGroup(frozenset(_double(generators, squarefree_mul, 1)))
 
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
@@ -88,3 +93,26 @@ class SquareClassGroup:
         if len(self.elements) == 1:
             return "1"
         return "<" + ", ".join(str(g) for g in self.generators()) + ">"
+
+
+# --- the label group over (2, p, l) -------------------------------------------
+
+# the classes {1, 2, p, 2p, l, 2l, pl, 2pl} mod squares; a label's index is
+# its 3-bit mask over the basis (2, p, l), so the product is XOR
+LABELS = ("1", "2", "p", "2p", "l", "2l", "pl", "2pl")
+_MASK = {s: m for m, s in enumerate(LABELS)}
+
+
+def label_span(labels) -> frozenset[str]:
+    """The subgroup of the label group generated by the given labels."""
+    return frozenset(LABELS[m] for m in _double((_MASK[s] for s in labels), xor, 0))
+
+
+def concretize(labels, p: int, l: int) -> SquareClassGroup:
+    """The concrete group spanned by label generators at primes p, l.
+
+    Accepts "-1" besides the labels over (2, p, l), for the psi side.
+    """
+    values = {"-1": -1, "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l,
+              "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
+    return SquareClassGroup.span(*(values[s] for s in labels))

@@ -12,25 +12,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .arith import is_prime, jacobi, primes_in
+from .arith import jacobi, primes_in
 from .criteria import (
     ALL_PROFILES,
     Classification,
-    ProfileClassification,
     ResidueProfile,
-    _symbolic_span,
     classify_2p,
     classify_11_minus,
-    classify_11_plus,
+    classify_pair,
     classify_profile,
     classify_small_residues,
-    phi_pass_classes,
     residue_profile,
 )
-from .descent import descend, selmer_group
+from .descent import descend, selmer_group, witnesses_json
 from .errors import BudgetExceeded, FamilyMismatch
 from .quadring import SQRT2, symbol_capital
-from .sqclass import SquareClassGroup
+from .sqclass import SquareClassGroup, concretize, label_span
 
 # --- family specification ---------------------------------------------------------
 
@@ -128,14 +125,6 @@ class SurveySummary:
         }
 
 
-def _classify_pair(r: int, p: int, l: int) -> Classification:
-    if r == 1:
-        if jacobi(p, l) == 1:
-            return classify_11_plus(p, l)
-        return classify_11_minus(p, l)
-    return classify_small_residues(p, l)
-
-
 def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], SurveySummary]:
     """Classify every qualifying pair of primes below spec.bound.
 
@@ -154,7 +143,7 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
             for l in ps[i + 1 :]:
                 if spec.legendre is not None and jacobi(p, l) != spec.legendre:
                     continue
-                c = _classify_pair(r, p, l)
+                c = classify_pair(p, l)
                 if spec.profile_filter is not None and c.profile != spec.profile_filter:
                     continue
                 rows.append(_build_row(c, height))
@@ -179,10 +168,7 @@ def _build_row(c: Classification, height: int) -> SurveyRow:
         rep = descend(c.k, height=height)
         rank_lower = rep.rank_lower
         rank_upper = min(rank_upper, rep.rank_upper)
-        witnesses = {
-            side: {str(b1): [pt.N, pt.M, pt.e] for b1, pt in w.items()}
-            for side, w in rep.witnesses.items()
-        }
+        witnesses = witnesses_json(rep.witnesses)
     cert = {
         (False, False): "none",
         (True, False): "psi",
@@ -356,12 +342,38 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _concrete(labels, p: int, l: int) -> SquareClassGroup:
-    table = {
-        "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l, "2l": 2 * l,
-        "pl": p * l, "2pl": 2 * p * l, "-1": -1,
-    }
-    return SquareClassGroup.span(*(table[x] for x in labels)) if labels else SquareClassGroup.trivial()
+_concrete = concretize  # the name the gate suite imports
+
+
+def check_grid_row(i: int, row: GridRow) -> tuple[CheckLine, CheckLine]:
+    """Row i of the printed grid against classify_profile, every column,
+    and its example pair against residue_profile."""
+    pc = classify_profile(row.profile)
+    w_span = label_span(row.w_phi)
+    ok_w = pc.w_phi == w_span
+    ok_psi = pc.sha_psi_dim == len(row.sha_psi)
+    ok_rank = pc.rank_bound == row.rank_bound
+    # the printed complement must be a genuine certificate: disjoint
+    # from the solvable classes and of complementary dimension
+    comp = label_span(row.sha_phi)
+    ok_comp = (
+        comp & pc.w_phi == frozenset({"1"})
+        and len(comp) * len(pc.w_phi) == 8
+    )
+    detail = (
+        f"W {sorted(pc.w_phi)} vs {sorted(w_span)}; "
+        f"sha_psi dim {pc.sha_psi_dim} vs {len(row.sha_psi)}; "
+        f"rank {pc.rank_bound} vs {row.rank_bound}; comp {sorted(comp)}"
+    )
+    pr = residue_profile(*row.example)
+    return (
+        CheckLine(f"grid row {i}", ok_w and ok_psi and ok_rank and ok_comp, detail),
+        CheckLine(
+            f"grid row {i} example {row.example}",
+            pr == row.profile,
+            f"profile {tuple(pr)} vs {tuple(row.profile)}",
+        ),
+    )
 
 
 def verify_reference() -> VerifyReport:
@@ -376,34 +388,8 @@ def verify_reference() -> VerifyReport:
     checks.append(CheckLine("grid: exactly 1 profile allows rank 4", n4 == 1, f"got {n4}"))
 
     # the printed grid, row by row
-    for i, (row, pc) in enumerate(zip(REFERENCE_GRID, pcs), start=1):
-        w_span = _symbolic_span(row.w_phi) if row.w_phi else frozenset({"1"})
-        ok_w = pc.w_phi == w_span
-        ok_psi = pc.sha_psi_dim == len(row.sha_psi)
-        ok_rank = pc.rank_bound == row.rank_bound
-        # the printed complement must be a genuine certificate: disjoint
-        # from the solvable classes and of complementary dimension
-        comp = _symbolic_span(row.sha_phi) if row.sha_phi else frozenset({"1"})
-        ok_comp = (
-            comp & pc.w_phi == frozenset({"1"})
-            and len(comp) * len(pc.w_phi) == 8
-        )
-        detail = (
-            f"W {sorted(pc.w_phi)} vs {sorted(w_span)}; "
-            f"sha_psi dim {pc.sha_psi_dim} vs {len(row.sha_psi)}; "
-            f"rank {pc.rank_bound} vs {row.rank_bound}; comp {sorted(comp)}"
-        )
-        checks.append(
-            CheckLine(f"grid row {i}", ok_w and ok_psi and ok_rank and ok_comp, detail)
-        )
-        pr = residue_profile(*row.example)
-        checks.append(
-            CheckLine(
-                f"grid row {i} example {row.example}",
-                pr == row.profile,
-                f"profile {tuple(pr)} vs {tuple(row.profile)}",
-            )
-        )
+    for i, row in enumerate(REFERENCE_GRID, start=1):
+        checks.extend(check_grid_row(i, row))
 
     # small-k symbol table
     for k, p, l, (a, b, c, d, pi_) in SYMBOL_TABLE_SMALL:
@@ -452,9 +438,9 @@ def verify_reference() -> VerifyReport:
     for key, (p, l) in fixture_pairs.items():
         want_psi, want_phi = LAGRANGE_SELMER[key]
         k = p * l
-        ok = selmer_group(k, "psi") == _concrete(want_psi, p, l) and selmer_group(
+        ok = selmer_group(k, "psi") == concretize(want_psi, p, l) and selmer_group(
             k, "phi"
-        ) == _concrete(want_phi, p, l)
+        ) == concretize(want_phi, p, l)
         checks.append(CheckLine(f"selmer shape {key} at (p,l)=({p},{l})", ok))
 
     # certificate spot checks in the non-grid families

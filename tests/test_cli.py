@@ -1,7 +1,9 @@
 """Front-end behavior: output shapes, exit codes, JSON round trips."""
 
+import dataclasses
 import json
 
+from cndescent import cli
 from cndescent.cli import main
 
 
@@ -72,6 +74,17 @@ def test_grid_verify(capsys):
     rows = json.loads(out)
     assert len(rows) == 32
     assert all(r["verified"] for r in rows)
+
+
+def test_grid_verify_flags_a_wrong_w_column(capsys, monkeypatch):
+    grid = list(cli.REFERENCE_GRID)
+    grid[0] = dataclasses.replace(grid[0], w_phi=("2", "p"))  # true W is <2, p, l>
+    monkeypatch.setattr(cli, "REFERENCE_GRID", tuple(grid))
+    code, out = run(capsys, ["grid", "--verify", "--json"])
+    assert code == 1
+    rows = json.loads(out)
+    assert rows[0]["verified"] is False
+    assert all(r["verified"] for r in rows[1:])
 
 
 def test_survey_stdout(capsys):

@@ -19,11 +19,9 @@ from cndescent.criteria import (
     decompose_psi_point,
     phi_class_holds,
     phi_divisor_conditions,
-    phi_obstruction,
     phi_pass_classes,
     psi_case_holds,
     psi_obstructed,
-    psi_obstruction,
     residue_profile,
     square_pair_relations,
     witness_fixed_sign,
@@ -127,19 +125,6 @@ def test_psi_case_labels():
     assert not psi_obstructed(profile)
 
 
-def test_concrete_obstruction_groups():
-    # row 4 pair: fully obstructed on both sides
-    assert psi_obstruction(17, 1361) == SquareClassGroup.span(17)
-    w, comp = phi_obstruction(17, 1361)
-    assert w == SquareClassGroup.trivial()
-    assert comp == SquareClassGroup.span(2, 17, 1361)
-    # row 8 pair: psi side unobstructed, complement <2, p>
-    assert psi_obstruction(17, 89) == SquareClassGroup.trivial()
-    w, comp = phi_obstruction(17, 89)
-    assert w == SquareClassGroup.span(2 * 17 * 89)
-    assert comp == SquareClassGroup.span(2, 17)
-
-
 # --- family classifiers -------------------------------------------------------
 
 
@@ -150,6 +135,7 @@ def test_classify_11_plus_row4_pair():
     assert cls.sha2_dim == 4
     assert cls.sha_psi == SquareClassGroup.span(17)
     assert cls.sha_phi == SquareClassGroup.span(2, 17, 1361)
+    assert cls.w_phi == SquareClassGroup.trivial()
     assert cls.selmer_psi == SquareClassGroup.span(-1, 17, 1361)
     assert cls.selmer_phi == SquareClassGroup.span(2, 17, 1361)
 

@@ -1,7 +1,12 @@
+import itertools
+import math
+import random
+
 import pytest
 
+from cndescent.criteria import PHI_CLASSES
 from cndescent.errors import NotAGroup
-from cndescent.sqclass import SquareClassGroup, squarefree_mul
+from cndescent.sqclass import SquareClassGroup, concretize, label_span, squarefree_mul
 
 
 def test_squarefree_mul_cancels_common_part():
@@ -46,3 +51,38 @@ def test_subgroup_order():
     big = SquareClassGroup.span(2, 41)
     assert small <= big
     assert not big <= small
+
+
+def _pairwise_closure(gens):
+    elems = {1, *gens}
+    while True:
+        extra = {squarefree_mul(a, b) for a in elems for b in elems}
+        if extra <= elems:
+            return frozenset(elems)
+        elems |= extra
+
+
+def test_span_matches_pairwise_closure():
+    rng = random.Random(2002)
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    for _ in range(300):
+        gens = []
+        for _ in range(rng.randrange(6)):
+            chosen = rng.sample(primes, rng.randrange(1, 4))
+            gens.append(rng.choice((1, -1)) * math.prod(chosen))
+        assert SquareClassGroup.span(*gens).elements == _pairwise_closure(gens), gens
+
+
+def test_label_span_then_concretize_matches_span():
+    p, l = 17, 89
+    value = {"2": 2, "p": p, "2p": 2 * p, "l": l, "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
+    subsets = [
+        sub for n in range(len(PHI_CLASSES) + 1)
+        for sub in itertools.combinations(PHI_CLASSES, n)
+    ]
+    assert len(subsets) == 128
+    for sub in subsets:
+        labels = label_span(sub)
+        want = SquareClassGroup.span(*(value[s] for s in sub))
+        assert concretize(labels, p, l) == want, sub
+        assert len(labels) == len(want), sub
