@@ -9,7 +9,7 @@ character (-4/p)_8 for p = 1 mod 8, and the two half symbols (2/l)_4 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 import sympy
 
@@ -168,10 +168,6 @@ def factor(n: int, limit: int | None = None) -> FactoredInteger:
     sign = 1 if n > 0 else -1
     fd = sympy.factorint(abs(n))
     return FactoredInteger(sign, tuple(sorted(fd.items())))
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def is_prime(n: int) -> bool:

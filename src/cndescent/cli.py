@@ -127,15 +127,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    if args.two_p:
-        spec = FamilySpec(bound=args.bound, two_p=True)
-    else:
-        r1, r2 = (int(x) for x in args.residues.split(","))
-        spec = FamilySpec(
-            bound=args.bound,
-            residues=(r1, r2),
-            legendre=args.legendre,
-        )
+    spec = FamilySpec(
+        bound=args.bound,
+        residues=args.residues,
+        two_p=args.two_p,
+        legendre=args.legendre,
+    )
     rows, summary = run_survey(spec, height=args.height)
     text = render_ndjson(rows, summary)
     if args.out:
@@ -162,6 +159,27 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    convert.__name__ = "integer"  # argparse names it in "invalid integer value"
+    return convert
+
+
+def _residues(text: str) -> tuple[int, int]:
+    """argparse type: 'r1,r2' -> (r1, r2)."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(x.strip().isdigit() for x in parts):
+        raise argparse.ArgumentTypeError("expects two integers like 1,1")
+    return int(parts[0]), int(parts[1])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cndescent",
@@ -171,20 +189,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full descent report for one k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--height", type=int, default=1000,
+    p.add_argument("--k", type=_at_least(1), required=True)
+    p.add_argument("--height", type=_at_least(0), default=1000,
                    help="point search bound (default 1000)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("selmer", help="Selmer groups of both isogeny directions")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_selmer)
 
     p = sub.add_parser("profile", help="five residue symbols of an admissible pair")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--p", type=_at_least(3), required=True)
+    p.add_argument("--l", type=_at_least(3), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_profile)
 
@@ -196,13 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="classify a whole family, NDJSON output")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--residues", help="p and l mod 8, e.g. 1,1")
+    group.add_argument("--residues", type=_residues, help="p and l mod 8, e.g. 1,1")
     group.add_argument("--two-p", action="store_true", dest="two_p")
     p.add_argument("--legendre", type=int, choices=(1, -1), default=None,
                    help="restrict to (p/l) = +1 or -1")
-    p.add_argument("--bound", type=int, default=10**4,
+    p.add_argument("--bound", type=_at_least(3), default=10**4,
                    help="upper bound on the primes (default 10000)")
-    p.add_argument("--height", type=int, default=0,
+    p.add_argument("--height", type=_at_least(0), default=0,
                    help="optional point search height per k (default off)")
     p.add_argument("--out", help="write NDJSON here instead of stdout")
     p.add_argument("--json", action="store_true",
@@ -223,12 +241,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _validate(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 2
-    try:
         return args.fn(args)
     except DescentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -236,27 +248,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _validate(args) -> None:
-    if getattr(args, "k", None) is not None and args.k < 1:
-        raise _UsageError("--k must be a positive integer")
-    if getattr(args, "height", None) is not None and args.height < 0:
-        raise _UsageError("--height must be nonnegative")
-    if getattr(args, "bound", None) is not None and args.bound < 3:
-        raise _UsageError("--bound must be at least 3")
-    for name in ("p", "l"):
-        v = getattr(args, name, None)
-        if v is not None and v < 3:
-            raise _UsageError(f"--{name} must be an odd prime")
-    if getattr(args, "residues", None) is not None:
-        parts = args.residues.split(",")
-        if len(parts) != 2 or not all(x.strip().isdigit() for x in parts):
-            raise _UsageError("--residues expects two integers like 1,1")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import factor
+from .criteria import classify_auto
 from .errors import DescentError, InconsistentCriteria
 from .sqclass import SquareClassGroup
 
@@ -27,44 +28,10 @@ PHI = "phi"
 
 
 @dataclass(frozen=True)
-class CurvePair:
-    """E_k: y^2 = x(x^2 - k^2) and its 2-isogenous partner.
-
-    k may be any positive integer; the classification criteria only apply
-    to the squarefree families, but descent itself does not care.
-    """
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
-
-    @property
-    def psi_constant(self) -> int:
-        """b1*b2 for psi-side torsors."""
-        return -self.k * self.k
-
-    @property
-    def phi_constant(self) -> int:
-        """b1*b2 for phi-side torsors."""
-        if self.k % 2 == 1:
-            return 4 * self.k * self.k
-        return (self.k * self.k) // 4
-
-    def constant(self, side: str) -> int:
-        return self.psi_constant if side == PSI else self.phi_constant
-
-
-@dataclass(frozen=True)
 class Torsor:
     side: str
     b1: int
     b2: int
-
-    @property
-    def constant(self) -> int:
-        return self.b1 * self.b2
 
 
 @dataclass(frozen=True)
@@ -74,8 +41,6 @@ class TorsorPoint:
     e: int
 
     def on(self, torsor: Torsor) -> bool:
-        if (self.N, self.M, self.e) == (0, 0, 0):
-            return False
         if gcd(self.M, self.e) != 1:
             return False
         return self.N**2 == torsor.b1 * self.M**4 + torsor.b2 * self.e**4
@@ -85,22 +50,26 @@ def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
     """All candidate b1 classes for the given isogeny side, keyed by b1.
 
     psi: b1 runs over +-(squarefree divisors of k); phi: over the positive
-    squarefree divisors of the torsor constant's radical (2k for odd k,
-    the odd part of k for even k).
+    squarefree divisors of the torsor constant's radical, which is that of
+    2k for odd k and that of k^2/4 for even k (it contains 2 when 4 | k).
     """
-    pair = CurvePair(k)
-    const = pair.constant(side)
-    radical = factor(const).radical
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if side == PSI:
+        const = -k * k
+    elif k % 2 == 1:
+        const = 4 * k * k
+    else:
+        const = k * k // 4
     divisors = [1]
-    for q, _ in factor(radical).factors:
+    for q, _ in factor(const).factors:
         divisors += [d * q for d in divisors]
-    out: dict[int, Torsor] = {}
-    for d in sorted(divisors):
-        signs = (1, -1) if side == PSI else (1,)
-        for s in signs:
-            b1 = s * d
-            out[b1] = Torsor(side, b1, const // b1)
-    return out
+    signs = (1, -1) if side == PSI else (1,)
+    return {
+        s * d: Torsor(side, s * d, const // (s * d))
+        for d in sorted(divisors)
+        for s in signs
+    }
 
 
 # --- local solvability ----------------------------------------------------
@@ -208,17 +177,6 @@ def selmer_group(k: int, side: str) -> SquareClassGroup:
 # --- global points --------------------------------------------------------
 
 
-def _nth_root_floor(x: int, n: int) -> int:
-    if x < 0:
-        return -1
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
-
-
 def search_points(
     torsor: Torsor, height: int, stop_at_first: bool = False
 ) -> list[TorsorPoint]:
@@ -233,23 +191,14 @@ def search_points(
     if b1 < 0 and b2 < 0:
         return found
     for e in range(height + 1):
+        # M bounds from exact fourth roots; m_lo may sit one below the
+        # first M with b1 M^4 + b2 e^4 >= 0, which the t < 0 test skips
         if b1 > 0:
+            m_lo = 0 if b2 >= 0 else isqrt(isqrt(-b2 * e**4 // b1))
             m_hi = height
-            if b2 >= 0:
-                m_lo = 0
-            else:
-                # first M with b1 M^4 >= -b2 e^4
-                m_lo = _nth_root_floor((-b2 * e**4 + b1 - 1) // b1, 4)
-                while b1 * m_lo**4 + b2 * e**4 < 0:
-                    m_lo += 1
         else:
             m_lo = 0
-            if e == 0:
-                m_hi = 0
-            else:
-                m_hi = min(height, _nth_root_floor((b2 * e**4) // (-b1), 4))
-                while m_hi >= 0 and b1 * m_hi**4 + b2 * e**4 < 0:
-                    m_hi -= 1
+            m_hi = min(height, isqrt(isqrt(b2 * e**4 // -b1)))
         for m in range(m_lo, m_hi + 1):
             if gcd(m, e) != 1:
                 continue
@@ -322,15 +271,14 @@ def _free_classes(k: int, side: str) -> dict[int, TorsorPoint]:
 
 def descend(k: int, height: int = 1000) -> DescentReport:
     """Full descent: Selmer groups, point search, certificates, bounds."""
-    from . import criteria  # deferred: criteria builds on this module's types
-
     notes: list[str] = []
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
     torsors = {s: enumerate_torsors(k, s) for s in (PSI, PHI)}
 
-    cls = criteria.classify_auto(k)
+    cls = classify_auto(k)
     sha_cert = {PSI: SquareClassGroup.trivial(), PHI: SquareClassGroup.trivial()}
-    w_cap: dict[str, SquareClassGroup | None] = {PSI: None, PHI: None}
+    # the phi classes the criteria allow in W; psi certificates never name them
+    w_phi_cap: SquareClassGroup | None = None
     if cls is not None:
         for side, cert, expected in (
             (PSI, cls.sha_psi, cls.selmer_psi),
@@ -350,21 +298,18 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                     f"{cert.describe()}: not inside the Selmer group"
                 )
         if not notes:
-            w_cap[PHI] = cls.w_phi
-            w_cap[PSI] = None  # psi certificates never name the W classes
+            w_phi_cap = cls.w_phi
 
-    witnesses: dict[str, dict[int, TorsorPoint]] = {PSI: {}, PHI: {}}
+    witnesses: dict[str, dict[int, TorsorPoint]] = {}
     w_found: dict[str, SquareClassGroup] = {}
     for side in (PSI, PHI):
-        free = _free_classes(k, side)
-        gens: list[int] = []
-        for b1, pt in free.items():
+        witnesses[side] = _free_classes(k, side)
+        gens = list(witnesses[side])
+        for b1 in gens:
             if b1 not in selmer[side]:
                 raise InconsistentCriteria(
                     f"torsion class {b1} missing from the {side} Selmer group"
                 )
-            witnesses[side][b1] = pt
-            gens.append(b1)
         current = SquareClassGroup.span(*gens)
         # the largest W the certificates allow
         cert_dim_bound = selmer[side].dim - sha_cert[side].dim
@@ -375,13 +320,13 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 continue
             if t.b1 in sha_cert[side] and t.b1 != 1:
                 continue  # certified obstructed: do not bother searching
-            if w_cap[side] is not None and t.b1 not in w_cap[side]:
+            if side == PHI and w_phi_cap is not None and t.b1 not in w_phi_cap:
                 continue
             pts = search_points(t, height, stop_at_first=True)
             if pts:
-                pt = pts[0]
-                witnesses[side][t.b1] = pt
-                current = SquareClassGroup.span(*(list(current.generators()) + [t.b1]))
+                witnesses[side][t.b1] = pts[0]
+                gens.append(t.b1)
+                current = SquareClassGroup.span(*gens)
         w_found[side] = current
 
     for side in (PSI, PHI):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from .arith import is_prime
+from .arith import is_prime, jacobi
 from .errors import (
     BadResidueClass,
     CompositeModulus,
@@ -225,8 +225,6 @@ def symbol_capital(p: int, l: int, ring: Ring) -> int:
     Defined for distinct primes p, l = 1 mod 8 with (p/l) = +1; under that
     hypothesis the value does not depend on the conjugate choices.
     """
-    from .arith import jacobi  # local import keeps module deps one-way
-
     if p % 8 != 1 or l % 8 != 1 or p == l:
         raise UndefinedSymbol(f"need distinct primes = 1 mod 8, got {p}, {l}")
     if jacobi(p, l) != 1:

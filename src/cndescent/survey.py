@@ -81,7 +81,6 @@ class SurveyRow:
     rank_upper: int
     sha_psi: SquareClassGroup
     sha_phi: SquareClassGroup
-    certificate: str
     witnesses: dict = field(default_factory=dict, compare=False)
 
     def to_json(self) -> dict:
@@ -169,12 +168,6 @@ def _build_row(c: Classification, height: int) -> SurveyRow:
         rank_lower = rep.rank_lower
         rank_upper = min(rank_upper, rep.rank_upper)
         witnesses = witnesses_json(rep.witnesses)
-    cert = {
-        (False, False): "none",
-        (True, False): "psi",
-        (False, True): "phi",
-        (True, True): "psi+phi",
-    }[(len(c.sha_psi) > 1, len(c.sha_phi) > 1)]
     return SurveyRow(
         k=c.k,
         p=c.p,
@@ -184,7 +177,6 @@ def _build_row(c: Classification, height: int) -> SurveyRow:
         rank_upper=rank_upper,
         sha_psi=c.sha_psi,
         sha_phi=c.sha_phi,
-        certificate=cert,
         witnesses=witnesses,
     )
 

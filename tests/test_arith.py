@@ -10,7 +10,6 @@ from cndescent.arith import (
     FactoredInteger,
     factor,
     half_symbols,
-    is_square,
     jacobi,
     octic_minus4,
     octic_minus4_product,
@@ -237,8 +236,3 @@ def test_factor_known_products():
     assert factor(4633).factors == ((41, 1), (113, 1))
     assert factor(93193).factors == ((41, 1), (2273, 1))
     assert factor(1513).factors == ((17, 1), (89, 1))
-
-
-def test_is_square():
-    assert is_square(0) and is_square(1) and is_square(144)
-    assert not is_square(2) and not is_square(-4)

@@ -123,3 +123,5 @@ def test_exit_codes(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["survey", "--residues", "one,one"])[0] == 2
     assert run(capsys, ["survey", "--residues", "1,5", "--bound", "100"])[0] == 1
+    # the legendre filter selects nothing on the 2p family
+    assert run(capsys, ["survey", "--two-p", "--legendre", "1"])[0] == 1

@@ -1,13 +1,14 @@
 """Local solvability, Selmer groups, point search, and the full descent."""
 
+from math import gcd, isqrt
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cndescent.descent import (
     PHI,
     PSI,
-    CurvePair,
     Torsor,
     TorsorPoint,
     descend,
@@ -23,22 +24,33 @@ from cndescent.sqclass import SquareClassGroup
 
 
 def test_curve_pair_constants():
-    c = CurvePair(33)
-    assert c.constant(PSI) == -(33**2)
-    assert c.constant(PHI) == 4 * 33**2
-    c2 = CurvePair(82)
-    assert c2.constant(PSI) == -(82**2)
-    assert c2.constant(PHI) == 82**2 // 4
+    """b1*b2 is -k^2 on the psi side and 4k^2 (odd k) or k^2/4 (even k) on phi."""
+    for k, side, const in (
+        (33, PSI, -(33**2)),
+        (33, PHI, 4 * 33**2),
+        (82, PSI, -(82**2)),
+        (82, PHI, 82**2 // 4),
+    ):
+        ts = enumerate_torsors(k, side)
+        assert ts and all(t.b1 * t.b2 == const for t in ts.values())
+    with pytest.raises(ValueError):
+        enumerate_torsors(0, PSI)
 
 
 def test_enumerate_torsors_shapes():
-    ts = enumerate_torsors(82, PSI)
-    assert sorted(ts) == sorted([1, -1, 2, -2, 41, -41, 82, -82])
-    for b1, t in ts.items():
-        assert t.b1 == b1 and t.b1 * t.b2 == -(82**2)
-    tphi = enumerate_torsors(82, PHI)
-    assert sorted(tphi) == [1, 41]
-    assert all(t.b1 * t.b2 == 82**2 // 4 for t in tphi.values())
+    cases = [
+        (82, [1, -1, 2, -2, 41, -41, 82, -82], [1, 41], 82**2 // 4),
+        # odd k: the phi constant is 4k^2, so 2 joins the phi classes
+        (33, [1, -1, 3, -3, 11, -11, 33, -33], [1, 2, 3, 6, 11, 22, 33, 66], 4 * 33**2),
+    ]
+    for k, psi_classes, phi_classes, phi_constant in cases:
+        ts = enumerate_torsors(k, PSI)
+        assert sorted(ts) == sorted(psi_classes)
+        for b1, t in ts.items():
+            assert t.b1 == b1 and t.b1 * t.b2 == -(k**2)
+        tphi = enumerate_torsors(k, PHI)
+        assert sorted(tphi) == phi_classes
+        assert all(t.b1 * t.b2 == phi_constant for t in tphi.values())
 
 
 def test_free_classes_lie_on_their_torsors():
@@ -135,9 +147,30 @@ def test_search_finds_known_witnesses():
 def test_search_respects_primitivity():
     t = Torsor(PSI, 1, -(5**2))
     for pt in search_points(t, 12):
-        from math import gcd
-
         assert gcd(pt.M, pt.e) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b1=st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0),
+    b2=st.integers(min_value=-3000, max_value=3000).filter(lambda n: n != 0),
+    height=st.integers(min_value=0, max_value=25),
+)
+# N = 0 points sit exactly on the M bounds: (0, 2, 1) on both torsors
+@example(b1=1, b2=-16, height=3)
+@example(b1=-1, b2=16, height=3)
+def test_search_matches_brute_force(b1, b2, height):
+    # every primitive point with 0 <= M, e <= height, in the order the scan
+    # visits them: e ascending, then M ascending
+    expected = [
+        TorsorPoint(isqrt(t), m, e)
+        for e in range(height + 1)
+        for m in range(height + 1)
+        if gcd(m, e) == 1
+        and (t := b1 * m**4 + b2 * e**4) >= 0
+        and isqrt(t) ** 2 == t
+    ]
+    assert search_points(Torsor(PSI, b1, b2), height) == expected
 
 
 # --- full descent -------------------------------------------------------------

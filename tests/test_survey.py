@@ -58,7 +58,7 @@ def test_survey_minus_family_density():
     # certificates in this family are always two-dimensional on the phi side
     for r in rows:
         if r.rank_upper == 0:
-            assert len(r.sha_phi) == 4 and r.certificate == "phi"
+            assert len(r.sha_phi) == 4 and len(r.sha_psi) == 1
 
 
 def test_survey_three_mod_eight_always_rank_zero():
