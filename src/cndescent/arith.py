@@ -71,8 +71,6 @@ def quartic_symbol_product(a: int, n: int) -> int:
     Every prime factor q of n must satisfy q = 1 mod 4 and (a/q) = +1.
     n = 1 gives the empty product +1.
     """
-    if n == 1:
-        return 1
     result = 1
     for q, e in factor(n).factors:
         result *= quartic_symbol(a, q) ** e
@@ -97,8 +95,6 @@ def octic_minus4(p: int) -> int:
 
 def octic_minus4_product(n: int) -> int:
     """(-4/n)_8 for n a product of primes = 1 mod 8, defined multiplicatively."""
-    if n == 1:
-        return 1
     result = 1
     for q, e in factor(n).factors:
         result *= octic_minus4(q) ** e

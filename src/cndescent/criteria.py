@@ -19,7 +19,9 @@ Sign conventions: every symbol value is +1 or -1, never 0; a composite
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import (
     factor,
@@ -50,8 +52,7 @@ from .sqclass import LABELS, SquareClassGroup, concretize, label_span
 # --- the residue profile ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueProfile:
+class ResidueProfile(NamedTuple):
     """The five signs that control the k = pl, (p/l) = +1 classification."""
 
     pi: int  # [P/L] in Z[sqrt2]
@@ -60,17 +61,23 @@ class ResidueProfile:
     c: int  # (-4/p)_8
     d: int  # (-4/l)_8
 
-    def __iter__(self):
-        return iter((self.pi, self.a, self.b, self.c, self.d))
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.pi, self.a, self.b, self.c, self.d)
+def _distinct_1mod8_primes(p: int, l: int) -> bool:
+    """The pair hypothesis of the pl = 1 mod 8 criteria."""
+    if p % 8 != 1 or l % 8 != 1 or p == l:
+        return False
+    return is_prime(p) and is_prime(l)
+
+
+def _mutual_residues(primes) -> bool:
+    """Every two of the distinct primes are quadratic residues of each other."""
+    return all(jacobi(q, r) == 1 for q, r in combinations(primes, 2))
 
 
 def residue_profile(p: int, l: int) -> ResidueProfile:
     """Profile of an admissible pair: p, l distinct primes = 1 mod 8 with
     (p/l) = +1."""
-    if p % 8 != 1 or l % 8 != 1 or p == l or not (is_prime(p) and is_prime(l)):
+    if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != 1:
         raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1")
@@ -83,18 +90,27 @@ def residue_profile(p: int, l: int) -> ResidueProfile:
     )
 
 
-ALL_PROFILES = tuple(
-    ResidueProfile(pi, a, b, c, d)
-    for pi in (1, -1)
-    for a in (1, -1)
-    for b in (1, -1)
-    for c in (1, -1)
-    for d in (1, -1)
-)
+ALL_PROFILES = tuple(ResidueProfile(*signs) for signs in product((1, -1), repeat=5))
 
 # --- psi side: eight solvability cases for T(p) ------------------------------
 
 PSI_CASES = ("1Aa", "1Ab", "1Ba", "1Bb", "2Aa", "2Ab", "2Ba", "2Bb")
+
+
+def _psi_cases(profile: ResidueProfile) -> dict[str, tuple[int, bool]]:
+    """Per case: the value of [P/L] a point in that case forces, and whether
+    the case's two other sign conditions hold."""
+    _, a, b, c, d = profile
+    return {
+        "1Aa": (1, a == 1 and c == 1),
+        "1Ab": (1, b == 1 and a * c == 1),
+        "1Ba": (c * d, a == 1 and b * c == 1),
+        "1Bb": (d, b == 1 and c == 1),
+        "2Aa": (c, a == 1 and d == 1),
+        "2Ab": (1, a == 1 and b * d == 1),
+        "2Ba": (c * d, b == 1 and a * d == 1),
+        "2Bb": (1, b == 1 and d == 1),
+    }
 
 
 def psi_case_holds(case: str, profile: ResidueProfile) -> bool:
@@ -105,26 +121,19 @@ def psi_case_holds(case: str, profile: ResidueProfile) -> bool:
     M^2 +- l e^2 the prime p divides; each case forces three sign
     conditions. If all eight fail, T(p) has no rational point.
     """
-    pi, a, b, c, d = profile.as_tuple()
-    table = {
-        "1Aa": pi == 1 and a == 1 and c == 1,
-        "1Ab": pi == 1 and b == 1 and a * c == 1,
-        "1Ba": pi == c * d and a == 1 and b * c == 1,
-        "1Bb": pi == d and b == 1 and c == 1,
-        "2Aa": pi == c and a == 1 and d == 1,
-        "2Ab": pi == 1 and a == 1 and b * d == 1,
-        "2Ba": pi == c * d and b == 1 and a * d == 1,
-        "2Bb": pi == 1 and b == 1 and d == 1,
-    }
     try:
-        return table[case]
+        forced, others = _psi_cases(profile)[case]
     except KeyError:
         raise ValueError(f"unknown case label {case!r}") from None
+    return forced == profile.pi and others
 
 
 def psi_obstructed(profile: ResidueProfile) -> bool:
     """True when every psi case fails: T(p) is then a Sha class."""
-    return not any(psi_case_holds(case, profile) for case in PSI_CASES)
+    return not any(
+        forced == profile.pi and others
+        for forced, others in _psi_cases(profile).values()
+    )
 
 
 # --- phi side: seven class conditions ----------------------------------------
@@ -132,12 +141,10 @@ def psi_obstructed(profile: ResidueProfile) -> bool:
 PHI_CLASSES = LABELS[1:]
 
 
-def phi_class_holds(cls: str, profile: ResidueProfile) -> bool:
-    """Necessary profile conditions for a rational point on the phi-side
-    torsor of the given class (classes named by their b1 = 1 mod squares
-    representative in terms of 2, p, l)."""
-    pi, a, b, c, d = profile.as_tuple()
-    table = {
+def _phi_classes(profile: ResidueProfile) -> dict[str, bool]:
+    """The necessary condition of each phi class."""
+    pi, a, b, c, d = profile
+    return {
         "2": c == 1 and d == 1 and pi == 1,
         "p": b == 1 and a == 1 and c == 1,
         "2p": a * b == d and c == 1 and pi == a,
@@ -146,14 +153,20 @@ def phi_class_holds(cls: str, profile: ResidueProfile) -> bool:
         "pl": a == b and c == 1 and d == 1,
         "2pl": a * b == c and c == d and pi == 1,
     }
+
+
+def phi_class_holds(cls: str, profile: ResidueProfile) -> bool:
+    """Necessary profile conditions for a rational point on the phi-side
+    torsor of the given class (classes named by their b1 = 1 mod squares
+    representative in terms of 2, p, l)."""
     try:
-        return table[cls]
+        return _phi_classes(profile)[cls]
     except KeyError:
         raise ValueError(f"unknown phi class {cls!r}") from None
 
 
 def phi_pass_classes(profile: ResidueProfile) -> frozenset[str]:
-    return frozenset(c for c in PHI_CLASSES if phi_class_holds(c, profile))
+    return frozenset(c for c, holds in _phi_classes(profile).items() if holds)
 
 
 @dataclass(frozen=True)
@@ -164,11 +177,15 @@ class ProfileClassification:
     sha_psi_dim: int  # 0 or 1
     w_phi: frozenset[str]  # passing classes + "1"; always a group
     sha_phi_complement: frozenset[str]  # canonical certified complement
-    rank_bound: int
 
     @property
     def sha_phi_dim(self) -> int:
         return len(self.sha_phi_complement).bit_length() - 1
+
+    @property
+    def rank_bound(self) -> int:
+        # dim Sel^psi + dim Sel^phi - 2 = 3 + 3 - 2 for every profile
+        return 4 - self.sha_psi_dim - self.sha_phi_dim
 
 
 def classify_profile(profile: ResidueProfile) -> ProfileClassification:
@@ -194,15 +211,11 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
             f"no certified complement of dimension {target.bit_length() - 1} "
             f"for {profile}"
         )
-    sha_psi_dim = 1 if psi_obstructed(profile) else 0
-    sha_phi_dim = len(comp).bit_length() - 1
-    rank_bound = 4 - sha_phi_dim - sha_psi_dim
     return ProfileClassification(
         profile=profile,
-        sha_psi_dim=sha_psi_dim,
+        sha_psi_dim=1 if psi_obstructed(profile) else 0,
         w_phi=w,
         sha_phi_complement=comp,
-        rank_bound=rank_bound,
     )
 
 
@@ -234,6 +247,24 @@ class Classification:
         return self.rank_bound == 0
 
 
+def selmer_rank_bound(
+    sel_psi: SquareClassGroup,
+    sel_phi: SquareClassGroup,
+    sha_psi: SquareClassGroup,
+    sha_phi: SquareClassGroup,
+) -> tuple[int, int | None]:
+    """(bound, sha2_dim) from the Selmer groups and certified Sha classes:
+
+        rank <= dim Sel^psi + dim Sel^phi - 2 - dim Sha^psi - dim Sha^phi,
+
+    with dim Sha(E)[2] = dim Sha^psi + dim Sha^phi known when that is 0
+    (None otherwise).
+    """
+    sha_dim = sha_psi.dim + sha_phi.dim
+    bound = sel_psi.dim + sel_phi.dim - 2 - sha_dim
+    return bound, (sha_dim if bound == 0 else None)
+
+
 def _classification(
     family: str,
     p: int,
@@ -246,13 +277,9 @@ def _classification(
     profile: ResidueProfile | None = None,
     notes: tuple[str, ...] = (),
 ) -> Classification:
-    """The one builder: k = pl (or 2p when l is None), and
-
-        rank <= dim Sel^psi + dim Sel^phi - 2 - dim Sha^psi - dim Sha^phi,
-
-    with dim Sha(E)[2] = dim Sha^psi + dim Sha^phi known when that is 0.
-    """
-    rank_bound = selmer_psi.dim + selmer_phi.dim - 2 - sha_psi.dim - sha_phi.dim
+    """The one builder: k = pl (or 2p when l is None), with the rank bound
+    of selmer_rank_bound."""
+    rank_bound, sha2_dim = selmer_rank_bound(selmer_psi, selmer_phi, sha_psi, sha_phi)
     return Classification(
         family=family,
         k=2 * p if l is None else p * l,
@@ -265,7 +292,7 @@ def _classification(
         sha_phi=sha_phi,
         w_phi=w_phi,
         rank_bound=rank_bound,
-        sha2_dim=(sha_psi.dim + sha_phi.dim) if rank_bound == 0 else None,
+        sha2_dim=sha2_dim,
         notes=notes,
     )
 
@@ -297,7 +324,7 @@ def classify_11_minus(p: int, l: int) -> Classification:
     #Sha(E)[2] = 4. Otherwise each nontrivial class carries a necessary
     condition which that sign equation makes pass or fail together.
     """
-    if p % 8 != 1 or l % 8 != 1 or not (is_prime(p) and is_prime(l)) or p == l:
+    if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != -1:
         raise FamilyMismatch(f"classify_11_minus needs (p/l) = -1 for ({p}, {l})")
@@ -475,12 +502,8 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
         raise FamilyMismatch(
             "need squarefree positive k with all prime factors = 1 mod 8"
         )
-    for i, q in enumerate(ps):
-        for r in ps[i + 1:]:
-            if jacobi(q, r) != 1:
-                raise FamilyMismatch(
-                    f"prime factors {q}, {r} of k are not mutual residues"
-                )
+    if not _mutual_residues(ps):
+        raise FamilyMismatch(f"the prime factors of k = {k} are not mutual residues")
     if a_div <= 0 or k % a_div != 0:
         raise FamilyMismatch(f"A = {a_div} is not a positive divisor of k = {k}")
     b_div = k // a_div
@@ -526,17 +549,12 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
 # --- witness decomposition and coherence checks --------------------------------
 
 
-class PairRelations(tuple):
+class PairRelations(NamedTuple):
     """Result triple of square_pair_relations."""
 
-    __slots__ = ()
-
-    def __new__(cls, congruence, rel_quartic, rel_octic):
-        return super().__new__(cls, (congruence, rel_quartic, rel_octic))
-
-    congruence = property(lambda s: s[0])
-    rel_quartic = property(lambda s: s[1])
-    rel_octic = property(lambda s: s[2])
+    congruence: bool
+    rel_quartic: bool
+    rel_octic: bool
 
 
 def _mutual_residue_products(*ns: int) -> bool:
@@ -550,11 +568,7 @@ def _mutual_residue_products(*ns: int) -> bool:
             if q % 4 != 1:
                 return False
             primes.append(q)
-    for i, q in enumerate(primes):
-        for r in primes[i + 1:]:
-            if q != r and jacobi(q, r) != 1:
-                return False
-    return True
+    return _mutual_residues(primes)
 
 
 def square_pair_relations(
@@ -610,11 +624,7 @@ def witness_fixed_sign(
 ) -> int:
     """Predicted [P/L] from a solution of x^2 - 2y^2 = -P z^2 together with
     x^2 - y^2 = eps L w^2: always +1."""
-    _check_symbol_pair(p_pr, l_pr)
-    if eps not in (1, -1):
-        raise HypothesisViolated(f"eps must be +-1, got {eps}")
-    if min(x, y, z, w) < 1:
-        raise HypothesisViolated("witness entries must be positive")
+    _check_lemma_args(p_pr, l_pr, x, y, z, w, eps)
     if x * x - 2 * y * y != -p_pr * z * z:
         raise HypothesisViolated("x^2 - 2y^2 = -P z^2 fails")
     if x * x - y * y != eps * l_pr * w * w:
@@ -628,11 +638,7 @@ def witness_octic_sign(
     """Predicted [P/L] from a solution of x^2 + 2 eps y^2 = P z^2 together
     with x^2 + eps y^2 = L w^2: (-4/L)_8 when eps = -1, and
     (P/L)_4 (L/P)_4 (-4/L)_8 when eps = +1."""
-    _check_symbol_pair(p_pr, l_pr)
-    if eps not in (1, -1):
-        raise HypothesisViolated(f"eps must be +-1, got {eps}")
-    if min(x, y, z, w) < 1:
-        raise HypothesisViolated("witness entries must be positive")
+    _check_lemma_args(p_pr, l_pr, x, y, z, w, eps)
     if x * x + 2 * eps * y * y != p_pr * z * z:
         raise HypothesisViolated("x^2 + 2 eps y^2 = P z^2 fails")
     if x * x + eps * y * y != l_pr * w * w:
@@ -646,34 +652,35 @@ def witness_octic_sign(
     )
 
 
-def _check_symbol_pair(p_pr: int, l_pr: int) -> None:
-    if (
-        p_pr % 8 != 1
-        or l_pr % 8 != 1
-        or p_pr == l_pr
-        or not (is_prime(p_pr) and is_prime(l_pr))
-        or jacobi(p_pr, l_pr) != 1
-    ):
+def _check_lemma_args(
+    p_pr: int, l_pr: int, x: int, y: int, z: int, w: int, eps: int
+) -> None:
+    """The hypotheses both witness lemmas share."""
+    if not _distinct_1mod8_primes(p_pr, l_pr) or jacobi(p_pr, l_pr) != 1:
         raise HypothesisViolated(
             f"need distinct primes P, L = 1 mod 8 with (P/L) = +1; "
             f"got ({p_pr}, {l_pr})"
         )
+    if eps not in (1, -1):
+        raise HypothesisViolated(f"eps must be +-1, got {eps}")
+    if min(x, y, z, w) < 1:
+        raise HypothesisViolated("witness entries must be positive")
 
 
-# per-case data for decomposing a point on the psi torsor T(p), k = pl:
-# divisors (dp, dq) so that u/(dp) and v/(dq) are the two squares, the
+# per-case data for decomposing a point on the psi torsor T(p), k = pl: the
 # square-pair quadruple (A, B, C, D), which witness checker applies, its
-# argument order, and its eps.
+# argument order, and its eps. The label fixes the rest: u and v are each
+# divisible by the digit, and p divides u in the a cases and v in the b cases.
 _CASE_TABLE = {
-    # case: (u_div, v_div, ABCD, checker, checker_vars, eps)
-    "1Aa": ((1, "p"), (1, 1), ("1", "l", "p", "1"), "fixed", "bMae", -1),
-    "1Ab": ((1, 1), (1, "p"), ("1", "l", "1", "p"), "fixed", "aMbe", 1),
-    "1Ba": ((1, "p"), (1, 1), ("l", "1", "p", "1"), "octic", "beam", 1),
-    "1Bb": ((1, 1), (1, "p"), ("l", "1", "1", "p"), "octic", "aebm", -1),
-    "2Aa": ((2, "p"), (2, 1), ("p", "1", "1", "l"), "octic", "Mbea", -1),
-    "2Ab": ((2, 1), (2, "p"), ("1", "p", "1", "l"), "fixed", "Maeb", 1),
-    "2Ba": ((2, "p"), (2, 1), ("p", "1", "l", "1"), "octic", "ebma", 1),
-    "2Bb": ((2, 1), (2, "p"), ("1", "p", "l", "1"), "fixed", "eamb", -1),
+    # case: (ABCD, checker, checker_vars, eps)
+    "1Aa": (("1", "l", "p", "1"), "fixed", "bMae", -1),
+    "1Ab": (("1", "l", "1", "p"), "fixed", "aMbe", 1),
+    "1Ba": (("l", "1", "p", "1"), "octic", "beam", 1),
+    "1Bb": (("l", "1", "1", "p"), "octic", "aebm", -1),
+    "2Aa": (("p", "1", "1", "l"), "octic", "Mbea", -1),
+    "2Ab": (("1", "p", "1", "l"), "fixed", "Maeb", 1),
+    "2Ba": (("p", "1", "l", "1"), "octic", "ebma", 1),
+    "2Bb": (("1", "p", "l", "1"), "fixed", "eamb", -1),
 }
 
 
@@ -726,16 +733,15 @@ def decompose_psi_point(p: int, l: int, point) -> CaseDecomposition:
         raise InconsistentCriteria("difference of squares side is nonpositive")
     sub = "a" if u % p == 0 else "b"
     case = digit + letter + sub
-    (u2, up), (v2, vp) = _CASE_TABLE[case][0], _CASE_TABLE[case][1]
-    du = u2 * (p if up == "p" else 1)
-    dv = v2 * (p if vp == "p" else 1)
+    div = int(digit)
+    du, dv = (div * p, div) if sub == "a" else (div, div * p)
     if u % du or v % dv:
         raise InconsistentCriteria(f"case {case}: expected divisors fail")
     a_sq, b_sq = u // du, v // dv
     a_val, b_val = isqrt(a_sq), isqrt(b_sq)
     if a_val * a_val != a_sq or b_val * b_val != b_sq:
         raise InconsistentCriteria(f"case {case}: factors are not squares")
-    _, _, abcd_sym, lemma, lemma_vars, eps = _CASE_TABLE[case]
+    abcd_sym, lemma, lemma_vars, eps = _CASE_TABLE[case]
     concrete = {"1": 1, "p": p, "l": l}
     quadruple = tuple(concrete[s] for s in abcd_sym)
     if digit == "1":
@@ -744,7 +750,7 @@ def decompose_psi_point(p: int, l: int, point) -> CaseDecomposition:
         variables = (a_val, b_val, m_val, e_val)
     env = {"M": m_val, "m": m_val, "e": e_val, "a": a_val, "b": b_val}
     lemma_args = tuple(env[c] for c in lemma_vars)
-    lemma_pl = (p, l) if case in ("1Aa", "1Ab", "1Ba", "1Bb") else (l, p)
+    lemma_pl = (p, l) if digit == "1" else (l, p)
     return CaseDecomposition(
         case=case,
         p=p,
@@ -760,19 +766,6 @@ def decompose_psi_point(p: int, l: int, point) -> CaseDecomposition:
         lemma_pl=lemma_pl,
         eps=eps,
     )
-
-
-# net value of [P/L] implied by each case, as a function of the profile
-_CASE_NET_SYMBOL = {
-    "1Aa": lambda pr: 1,
-    "1Ab": lambda pr: 1,
-    "1Ba": lambda pr: pr.c * pr.d,
-    "1Bb": lambda pr: pr.d,
-    "2Aa": lambda pr: pr.c,
-    "2Ab": lambda pr: 1,
-    "2Ba": lambda pr: pr.c * pr.d,
-    "2Bb": lambda pr: 1,
-}
 
 
 @dataclass(frozen=True)
@@ -805,12 +798,11 @@ def check_witness(p: int, l: int, point) -> WitnessReport:
     fn = witness_fixed_sign if dec.lemma == "fixed" else witness_octic_sign
     predicted = fn(*dec.lemma_pl, *dec.lemma_args, dec.eps)
     profile = residue_profile(p, l)
-    actual = profile.pi
     return WitnessReport(
         decomposition=dec,
         relations=relations,
         predicted_symbol=predicted,
-        table_symbol=_CASE_NET_SYMBOL[dec.case](profile),
-        actual_symbol=actual,
+        table_symbol=_psi_cases(profile)[dec.case][0],
+        actual_symbol=profile.pi,
         case_conditions_hold=psi_case_holds(dec.case, profile),
     )

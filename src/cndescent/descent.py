@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import factor
-from .criteria import classify_auto
+from .criteria import classify_auto, selmer_rank_bound
 from .errors import DescentError, InconsistentCriteria
 from .sqclass import SquareClassGroup
 
@@ -340,18 +340,13 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 )
 
     rank_lower = max(0, w_found[PSI].dim + w_found[PHI].dim - 2)
-    rank_upper = (
-        selmer[PSI].dim
-        + selmer[PHI].dim
-        - 2
-        - sha_cert[PSI].dim
-        - sha_cert[PHI].dim
+    rank_upper, sha2 = selmer_rank_bound(
+        selmer[PSI], selmer[PHI], sha_cert[PSI], sha_cert[PHI]
     )
     if rank_lower > rank_upper:
         raise InconsistentCriteria(
             f"k={k}: found rank {rank_lower} exceeds certified bound {rank_upper}"
         )
-    sha2 = sha_cert[PSI].dim + sha_cert[PHI].dim if rank_upper == 0 else None
     return DescentReport(
         k=k,
         selmer_psi=selmer[PSI],

@@ -35,16 +35,15 @@ from .sqclass import SquareClassGroup, concretize, label_span
 @dataclass(frozen=True)
 class FamilySpec:
     """One sampled family: either k = 2p (two_p=True) or k = pl with both
-    primes in a fixed residue class mod 8, optionally filtered by (p/l)
-    and by a full residue profile. `bound` caps the primes, not k: the
-    density statements this module measures are statements about prime
-    pairs, so the sample must be a box in (p, l), not in pl."""
+    primes in a fixed residue class mod 8, optionally filtered by (p/l).
+    `bound` caps the primes, not k: the density statements this module
+    measures are statements about prime pairs, so the sample must be a box
+    in (p, l), not in pl."""
 
     bound: int
     residues: tuple[int, int] | None = None
     two_p: bool = False
     legendre: int | None = None
-    profile_filter: ResidueProfile | None = None
 
     def __post_init__(self):
         if self.bound < 3:
@@ -65,10 +64,6 @@ class FamilySpec:
             # for p = l = 3 or 7 mod 8 the symbol is antisymmetric, so every
             # unordered pair matches both signs and the filter selects nothing
             raise ValueError("legendre filter only applies to residues 1 or 5")
-        if self.profile_filter is not None and (
-            self.two_p or self.residues != (1, 1) or self.legendre == -1
-        ):
-            raise ValueError("profile_filter requires residues (1,1) with (p/l) = +1")
 
 
 @dataclass(frozen=True)
@@ -142,15 +137,11 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
             for l in ps[i + 1 :]:
                 if spec.legendre is not None and jacobi(p, l) != spec.legendre:
                     continue
-                c = classify_pair(p, l)
-                if spec.profile_filter is not None and c.profile != spec.profile_filter:
-                    continue
-                rows.append(_build_row(c, height))
+                rows.append(_build_row(classify_pair(p, l), height))
     rows.sort(key=lambda row: (row.k, row.p))
     per_profile: dict = {}
     for row in rows:
-        key = row.profile.as_tuple() if row.profile is not None else None
-        per_profile[key] = per_profile.get(key, 0) + 1
+        per_profile[row.profile] = per_profile.get(row.profile, 0) + 1
     summary = SurveySummary(
         total=len(rows),
         rank_zero=sum(1 for row in rows if row.rank_upper == 0),

@@ -56,7 +56,7 @@ PROFILE_ORACLES = {
 
 def test_residue_profile_oracles():
     for (p, l), signs in PROFILE_ORACLES.items():
-        assert residue_profile(p, l).as_tuple() == signs, (p, l)
+        assert tuple(residue_profile(p, l)) == signs, (p, l)
 
 
 def test_residue_profile_rejects_bad_pairs():
@@ -123,6 +123,28 @@ def test_psi_case_labels():
     with pytest.raises(ValueError):
         phi_class_holds("q", profile)
     assert not psi_obstructed(profile)
+
+
+def test_psi_cases_match_the_paper_on_every_profile():
+    """All 32 profiles x 8 cases against the three sign conditions each case
+    of T(p) forces, written out as in the paper; T(p) is obstructed exactly
+    when no case holds."""
+    for profile in ALL_PROFILES:
+        pi, a, b, c, d = profile
+        paper = {
+            "1Aa": pi == 1 and a == 1 and c == 1,
+            "1Ab": pi == 1 and b == 1 and a * c == 1,
+            "1Ba": pi == c * d and a == 1 and b * c == 1,
+            "1Bb": pi == d and b == 1 and c == 1,
+            "2Aa": pi == c and a == 1 and d == 1,
+            "2Ab": pi == 1 and a == 1 and b * d == 1,
+            "2Ba": pi == c * d and b == 1 and a * d == 1,
+            "2Bb": pi == 1 and b == 1 and d == 1,
+        }
+        assert set(paper) == set(PSI_CASES)
+        for case, holds in paper.items():
+            assert psi_case_holds(case, profile) == holds, (profile, case)
+        assert psi_obstructed(profile) == (not any(paper.values())), profile
 
 
 # --- family classifiers -------------------------------------------------------

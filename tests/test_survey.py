@@ -29,9 +29,6 @@ def test_family_spec_validation():
         FamilySpec(bound=100, residues=(2, 2))
     with pytest.raises(ValueError):
         FamilySpec(bound=100, residues=(3, 3), legendre=1)
-    with pytest.raises(ValueError):
-        FamilySpec(bound=100, residues=(1, 1), legendre=-1,
-                   profile_filter=ALL_PROFILES[0])
 
 
 def test_survey_two_p():
@@ -75,15 +72,6 @@ def test_survey_plus_family_matches_grid():
         assert r.rank_upper == by_profile[r.profile].rank_bound
     assert sum(summary.per_profile.values()) == summary.total
     assert (17, 89) in [(r.p, r.l) for r in rows]
-
-
-def test_survey_profile_filter():
-    target = REFERENCE_GRID[7].profile  # the (17, 89) row
-    rows, _ = run_survey(
-        FamilySpec(bound=600, residues=(1, 1), legendre=1, profile_filter=target)
-    )
-    assert rows and all(r.profile == target for r in rows)
-    assert any((r.p, r.l) == (17, 89) for r in rows)
 
 
 def test_survey_with_point_search():
