@@ -151,9 +151,10 @@ def factor(n: int, limit: int | None = None) -> FactoredInteger:
     """Factor a nonzero integer into FactoredInteger form.
 
     Uses deterministic methods well past 2^64; above the default budget
-    (10^18) raises FactorBudgetExceeded rather than stalling. The factors
-    of the inputs this package meets (k up to ~10^7, products of two
-    primes) are trivial; the budget only guards pathological CLI input.
+    (10^18) raises FactorBudgetExceeded rather than stalling. The largest
+    numbers the package factors are the torsor constants -k^2 and 4k^2
+    (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8 and
+    even k up to 10^9, and raises FactorBudgetExceeded above that.
     """
     if n == 0:
         raise BadResidueClass("cannot factor 0")

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 
 from .arith import factor
 from .criteria import classify_auto, selmer_rank_bound
-from .errors import DescentError, InconsistentCriteria
+from .errors import InconsistentCriteria
 from .sqclass import SquareClassGroup
 
 PSI = "psi"
@@ -75,80 +75,74 @@ def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
 # --- local solvability ----------------------------------------------------
 
 
-def _val(n: int, q: int) -> int:
+def _split(n: int, q: int) -> tuple[int, int]:
+    """(v, u) with n = q^v u and q not dividing u; n must be nonzero."""
     v = 0
     while n % q == 0:
         n //= q
         v += 1
-    return v
+    return v, n
 
 
-def _is_fourth_power_in_qq(num: int, den: int, q: int) -> bool:
-    """Exact test for num/den in (Q_q^x)^4."""
-    v = _val(num, q) - _val(den, q)
-    if v % 4 != 0:
-        return False
-    # unit part as a residue
-    nu = num // q ** _val(num, q)
-    du = den // q ** _val(den, q)
-    if q == 2:
-        u = nu * pow(du, -1, 16) % 16
-        return u == 1  # (Z_2^x)^4 = 1 + 16 Z_2
-    u = nu * pow(du, -1, q) % q
-    g = gcd(4, q - 1)
-    return pow(u, (q - 1) // g, q) == 1
+def _is_power_residue(u: int, n: int, q: int) -> bool:
+    """Is the unit u an n-th power mod the odd prime q?"""
+    return pow(u, (q - 1) // gcd(n, q - 1), q) == 1
 
 
-def _chart_solvable(b1: int, b2: int, q: int, initial_depth: int) -> bool:
-    """Does N^2 = b1 z^4 + b2 have a solution with z in Z_q (depth 0)
-    or z in q Z_q (depth 1)?
-
-    BFS over residue classes z = c mod q^m with exact integer arithmetic.
-    A class is decided once the valuation v of t(c) = b1 c^4 + b2 is
-    pinned below the modulus with at least 1 (odd q) or 3 (q = 2) unit
-    digits visible; t(c) = 0 is an exact N = 0 solution.
-    """
-    need = 3 if q == 2 else 1
-    cap = _val(16 * (b1 * b2) ** 2, q) + 3
-    if initial_depth == 0:
-        frontier = [(0, 0)]
-    else:
-        frontier = [(0, 1)]
-    while frontier:
-        next_frontier = []
-        for c, m in frontier:
-            t = b1 * c**4 + b2
-            if m > 0:
-                if t == 0:
-                    return True
-                v = _val(t, q)
-                if v < m and m - v >= need:
-                    if v % 2 == 0:
-                        u = t // q**v
-                        if q == 2:
-                            if u % 8 == 1:
-                                return True
-                        elif pow(u % q, (q - 1) // 2, q) == 1:
-                            return True
-                    continue  # decided: not a square on this class
-            if m >= cap:
-                raise DescentError(
-                    f"local solver exceeded its depth bound at q={q}, "
-                    f"b1={b1}, b2={b2}; this is a bug"
-                )
-            step = q**m
-            next_frontier.extend((c + j * step, m + 1) for j in range(q))
-        frontier = next_frontier
-    return False
+def _is_2adic_square(t: int) -> bool:
+    """Is the nonzero integer t a square in Q_2?"""
+    v = (t & -t).bit_length() - 1
+    return v % 2 == 0 and (t >> v) % 8 == 1
 
 
 def solvable_at(b1: int, b2: int, q: int) -> bool:
-    """Solvability of N^2 = b1 M^4 + b2 e^4 over Q_q (primitive M, e)."""
-    # N = 0 channel: a q-adic fourth root of -b2/b1 is a point; testing it
-    # up front also guarantees the residue search below terminates
-    if _is_fourth_power_in_qq(-b2, b1, q):
-        return True
-    return _chart_solvable(b1, b2, q, 0) or _chart_solvable(b2, b1, q, 1)
+    """Solvability of N^2 = b1 M^4 + b2 e^4 over Q_q (primitive M, e).
+
+    Replacing M, e or N by q times itself shows that only a = v(b1) and
+    b = v(b2) mod 4 matter, both lowered by 2 when both are >= 2; swapping
+    M and e gives a <= b. Let u1, u2 be the unit parts, t = b1 M^4 + b2 e^4.
+
+    Odd q. If a < b, v(t) is a with unit part u1 M^4 mod q when q does not
+    divide M, else b with unit part u2 e^4, and by Hensel's lemma t is a
+    square iff that valuation is even and that unit a square mod q. If
+    a = b = 1, v(t) is even only if q | u1 M^4 + u2 e^4, so -u2/u1 must be
+    a fourth power mod q, and then Hensel lifts M/e to a point with N = 0.
+    If a = b = 0 there is always a point: (M, e) = (1, 0) when u1 is a
+    square, and otherwise N^2 = u1 x^4 + u2 is a smooth genus-1 curve with
+    no F_q point at infinity, so Hasse gives it (sqrt(q) - 1)^2 > 0 affine
+    F_q points, and each lifts.
+
+    q = 2. If a = b and u1 + u2 = 0 mod 16, -b2/b1 lies in
+    1 + 16 Z_2 = (Z_2^x)^4, a point with N = 0; an N = 0 point forces
+    exactly this. Otherwise v(t) <= a + 3: for a < b, t/2^a is odd when M
+    is odd and has valuation b - a <= 3 when M is even; for a = b, t/2^a
+    is odd unless M and e both are, and then t/2^a = u1 + u2 != 0 mod 16.
+    A t of valuation w is a square iff w is even and t/2^w = 1 mod 8, so
+    t mod 2^(a+6) decides. As (M + 16j)^4 = M^4 mod 64 and a <= b, (M, e)
+    mod 16 fixes t mod 2^(a+6), and the pairs below 16 with M or e odd
+    cover every primitive class.
+    """
+    a, u1 = _split(b1, q)
+    b, u2 = _split(b2, q)
+    a, b = a % 4, b % 4
+    if a >= 2 and b >= 2:
+        a, b = a - 2, b - 2
+    if a > b:
+        a, b, u1, u2 = b, a, u2, u1
+    if q == 2:
+        if a == b and (u1 + u2) % 16 == 0:
+            return True
+        return any(
+            _is_2adic_square((u1 << a) * m**4 + (u2 << b) * e**4)
+            for m in range(16)
+            for e in range(16)
+            if (m | e) & 1
+        )
+    if a == b:
+        return a == 0 or _is_power_residue(-u2 * pow(u1, -1, q), 4, q)
+    return (a == 0 and _is_power_residue(u1, 2, q)) or (
+        b == 2 and _is_power_residue(u2, 2, q)
+    )
 
 
 def locally_solvable(b1: int, b2: int) -> bool:

@@ -3,7 +3,7 @@ coprime-squares relations, and witness coherence."""
 
 import pytest
 
-from cndescent.arith import is_prime, jacobi, octic_minus4, quartic_symbol
+from cndescent.arith import is_prime, jacobi, octic_minus4, primes_in, quartic_symbol
 from cndescent.criteria import (
     ALL_PROFILES,
     PHI_CLASSES,
@@ -27,7 +27,7 @@ from cndescent.criteria import (
     witness_fixed_sign,
     witness_octic_sign,
 )
-from cndescent.descent import PHI, PSI, Torsor, search_points, selmer_group
+from cndescent.descent import PSI, Torsor, descend, search_points
 from cndescent.errors import FamilyMismatch, HypothesisViolated
 from cndescent.sqclass import SquareClassGroup
 
@@ -270,42 +270,41 @@ def test_classify_auto_dispatch():
 
 
 def sample_family_inputs():
-    """(family label, [k classifier inputs]) for the Selmer agreement check."""
-    p18 = primes_with(1, 8, 40, start=17)
-    pairs_plus, pairs_minus = [], []
-    for i, p in enumerate(p18):
-        for l in p18[i + 1:]:
-            (pairs_plus if jacobi(p, l) == 1 else pairs_minus).append((p, l))
-    p3 = primes_with(3, 8, 9)
-    p5 = primes_with(5, 8, 9)
-    p7 = primes_with(7, 8, 9)
-    def pairs_of(ps):
-        return [(p, l) for i, p in enumerate(ps) for l in ps[i + 1:]]
+    """(family label, [classifier inputs]) for the Selmer agreement sweep:
+    every pair of primes below 500 in the six LAGRANGE_SELMER families, and
+    k = 2p for every p = 1 mod 8 below 2000."""
+    def pairs_of(r, sign=None):
+        ps = primes_in(3, 500, r)
+        return [
+            (p, l) for i, p in enumerate(ps) for l in ps[i + 1:]
+            if sign is None or jacobi(p, l) == sign
+        ]
     return [
-        ("2p", [(p,) for p in p18[:20]]),
-        ("plus", sorted(pairs_plus, key=lambda t: t[0] * t[1])[:20]),
-        ("minus", sorted(pairs_minus, key=lambda t: t[0] * t[1])[:20]),
-        ("3mod8", pairs_of(p3)[:20]),
-        ("5mod8", pairs_of(p5)[:20]),
-        ("7mod8", pairs_of(p7)[:20]),
+        ("2p", [(p,) for p in primes_in(3, 2000, 1)]),
+        ("plus", pairs_of(1, 1)),
+        ("minus", pairs_of(1, -1)),
+        ("3mod8", pairs_of(3)),
+        ("5mod8", pairs_of(5)),
+        ("7mod8", pairs_of(7)),
     ]
 
 
 @pytest.mark.parametrize("family,inputs", sample_family_inputs())
 def test_selmer_agreement_with_descent_module(family, inputs):
-    """Closed-form Selmer groups match the local-solvability computation."""
-    assert len(inputs) == 20 or family in ("3mod8", "5mod8", "7mod8")
+    """Closed-form Selmer groups match the local-solvability computation,
+    and descend finds nothing to note against the criteria."""
+    classify = {
+        "2p": classify_2p,
+        "plus": classify_11_plus,
+        "minus": classify_11_minus,
+    }.get(family, classify_small_residues)
+    assert len(inputs) >= 20, family
     for tup in inputs:
-        if family == "2p":
-            cls = classify_2p(*tup)
-        elif family == "plus":
-            cls = classify_11_plus(*tup)
-        elif family == "minus":
-            cls = classify_11_minus(*tup)
-        else:
-            cls = classify_small_residues(*tup)
-        assert cls.selmer_psi == selmer_group(cls.k, PSI), (family, tup)
-        assert cls.selmer_phi == selmer_group(cls.k, PHI), (family, tup)
+        cls = classify(*tup)
+        rep = descend(cls.k, 0)
+        assert rep.selmer_psi == cls.selmer_psi, (family, tup)
+        assert rep.selmer_phi == cls.selmer_phi, (family, tup)
+        assert rep.notes == (), (family, tup, rep.notes)
 
 
 # --- general-divisor conditions on the phi side --------------------------------

@@ -1,11 +1,16 @@
 """Local solvability, Selmer groups, point search, and the full descent."""
 
+import os
+import subprocess
+import sys
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cndescent
 from cndescent.descent import (
     PHI,
     PSI,
@@ -91,6 +96,92 @@ def test_small_known_points_imply_solvability():
     # 17 M^4 + 272 e^4: classes with global points pass every local test
     assert locally_solvable(-2, 578)
     assert locally_solvable(17, 272)
+
+
+def _val(n, q):
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v
+
+
+def _is_fourth_power_in_qq(num, den, q):
+    """Exact test for num/den in (Q_q^x)^4."""
+    v = _val(num, q) - _val(den, q)
+    if v % 4 != 0:
+        return False
+    nu = num // q ** _val(num, q)
+    du = den // q ** _val(den, q)
+    if q == 2:
+        return nu * pow(du, -1, 16) % 16 == 1  # (Z_2^x)^4 = 1 + 16 Z_2
+    u = nu * pow(du, -1, q) % q
+    return pow(u, (q - 1) // gcd(4, q - 1), q) == 1
+
+
+def _chart_solvable(b1, b2, q, initial_depth):
+    """Does N^2 = b1 z^4 + b2 have a solution with z in Z_q (depth 0)
+    or z in q Z_q (depth 1)?
+
+    BFS over residue classes z = c mod q^m with exact integer arithmetic.
+    A class is decided once the valuation v of t(c) = b1 c^4 + b2 is
+    pinned below the modulus with at least 1 (odd q) or 3 (q = 2) unit
+    digits visible; t(c) = 0 is an exact N = 0 solution.
+    """
+    need = 3 if q == 2 else 1
+    cap = _val(16 * (b1 * b2) ** 2, q) + 3
+    frontier = [(0, initial_depth)]
+    while frontier:
+        next_frontier = []
+        for c, m in frontier:
+            t = b1 * c**4 + b2
+            if m > 0:
+                if t == 0:
+                    return True
+                v = _val(t, q)
+                if v < m and m - v >= need:
+                    if v % 2 == 0:
+                        u = t // q**v
+                        if q == 2:
+                            if u % 8 == 1:
+                                return True
+                        elif pow(u % q, (q - 1) // 2, q) == 1:
+                            return True
+                    continue  # decided: not a square on this class
+            assert m < cap, (b1, b2, q)
+            step = q**m
+            next_frontier.extend((c + j * step, m + 1) for j in range(q))
+        frontier = next_frontier
+    return False
+
+
+def reference_solvable_at(b1, b2, q):
+    """Residue-class search oracle for solvable_at: a q-adic fourth root of
+    -b2/b1 is an N = 0 point, and it also makes the search terminate."""
+    if _is_fourth_power_in_qq(-b2, b1, q):
+        return True
+    return _chart_solvable(b1, b2, q, 0) or _chart_solvable(b2, b1, q, 1)
+
+
+def test_solvable_at_matches_residue_search():
+    for q in (2, 3, 5, 7, 11, 13):
+        for b1 in range(-40, 41):
+            for b2 in range(-40, 41):
+                if b1 and b2:
+                    assert solvable_at(b1, b2, q) == reference_solvable_at(
+                        b1, b2, q
+                    ), (b1, b2, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_solvable_at_matches_residue_search_on_valuations(q):
+    # every valuation pair 0..4, so each normalised case and each fold
+    bs = [u * q**v for u in range(-15, 16) if u % q for v in range(5)]
+    for b1 in bs:
+        for b2 in bs:
+            assert solvable_at(b1, b2, q) == reference_solvable_at(b1, b2, q), (
+                b1, b2, q,
+            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,3 +309,34 @@ def test_descend_17_consistent():
 def test_descend_rejects_nonpositive():
     with pytest.raises(Exception):
         descend(0)
+
+
+# each line once exhausted memory or stalled in a residue-class search
+_HARD_INPUTS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from cndescent.descent import descend, selmer_group
+from cndescent.errors import FactorBudgetExceeded
+print(selmer_group(10007, "psi").describe())
+print(selmer_group(1306, "psi").describe())
+print(descend(2**20 * 7, 50).rank_upper)
+try:
+    descend(999999937, 50)
+except FactorBudgetExceeded:
+    print("FactorBudgetExceeded")
+"""
+
+
+def test_hard_inputs_finish_in_bounded_memory():
+    src = str(Path(cndescent.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HARD_INPUTS],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # E_{2^20 * 7} is E_7 rescaled, and 7 is congruent: rank 1
+    assert proc.stdout.splitlines() == [
+        "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
+    ]
