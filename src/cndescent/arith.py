@@ -52,7 +52,7 @@ def quartic_symbol(a: int, l: int) -> int:
     Defined only when l is prime, l = 1 mod 4, and a is a nonzero square
     mod l; otherwise UndefinedSymbol (or NotCoprime when l | a).
     """
-    if l % 4 != 1 or not sympy.isprime(l):
+    if l % 4 != 1 or not is_prime(l):
         raise BadResidueClass(f"quartic symbol needs a prime = 1 mod 4, got {l}")
     r = pow(a % l, (l - 1) // 4, l)
     if r == 0:
@@ -83,7 +83,7 @@ def octic_minus4(p: int) -> int:
     -4 is a fourth power mod p (it is (1+i)^4 up to units), so the value
     is always +1 or -1.
     """
-    if p % 8 != 1 or not sympy.isprime(p):
+    if p % 8 != 1 or not is_prime(p):
         raise BadResidueClass(f"octic character needs a prime = 1 mod 8, got {p}")
     r = pow(-4 % p, (p - 1) // 8, p)
     if r == 1:
@@ -108,7 +108,7 @@ def half_symbols(l: int) -> tuple[int, int]:
     (l/2)_4 is the conventional (-1)^((l-1)/8). Their product equals
     (-4/l)_8, which is a theorem, not the definition, and is tested as such.
     """
-    if l % 8 != 1 or not sympy.isprime(l):
+    if l % 8 != 1 or not is_prime(l):
         raise BadResidueClass(f"half symbols need a prime = 1 mod 8, got {l}")
     two = quartic_symbol(2, l)
     lhalf = 1 if (l - 1) // 8 % 2 == 0 else -1

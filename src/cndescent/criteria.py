@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -509,35 +509,28 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
     b_div = k // a_div
     a_primes = [q for q in ps if a_div % q == 0]
     b_primes = [q for q in ps if b_div % q == 0]
-
-    base = [primary_associate(split_prime(q, GAUSS)) for q in a_primes]
+    primary = {q: primary_associate(split_prime(q, GAUSS)) for q in ps}
+    base = [primary[q] for q in a_primes]
     one = QuadInt(GAUSS, 1, 0)
-    alphas: list[tuple[QuadInt, list[QuadInt]]] = []
-    for mask in range(1 << len(base)):
-        parts = [g.conj() if (mask >> i) & 1 else g for i, g in enumerate(base)]
-        al = one
-        for part in parts:
-            al = al * part
-        alphas.append((al, parts))
-
+    # the prime factors of each alpha, one list per conjugation pattern
+    alphas = [
+        [g.conj() if (mask >> i) & 1 else g for i, g in enumerate(base)]
+        for mask in range(1 << len(base))
+    ]
     cond1 = octic_minus4_product(a_div) == 1
     cond2 = all(
-        ring_symbol(al, primary_associate(split_prime(q, GAUSS))) == 1
+        ring_symbol(prod(parts, start=one), primary[q]) == 1
         for q in b_primes
-        for al, _ in alphas
+        for parts in alphas
     )
     cond3 = all(
         octic_minus4(q) == quartic_symbol_product(b_div, q) for q in a_primes
     )
-    cond4 = True
-    for _, parts in alphas:
-        for i, piq in enumerate(parts):
-            cof = one
-            for j, other in enumerate(parts):
-                if j != i:
-                    cof = cof * other
-            if ring_symbol(cof, piq) != 1:
-                cond4 = False
+    cond4 = all(
+        ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), piq) == 1
+        for parts in alphas
+        for i, piq in enumerate(parts)
+    )
     return {
         "A_octic_trivial": cond1,
         "alpha_trivial_over_B": cond2,

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 
 from .arith import factor
 from .criteria import classify_auto, selmer_rank_bound
-from .errors import InconsistentCriteria
+from .errors import BadResidueClass, InconsistentCriteria
 from .sqclass import SquareClassGroup
 
 PSI = "psi"
@@ -121,7 +121,11 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
     t mod 2^(a+6) decides. As (M + 16j)^4 = M^4 mod 64 and a <= b, (M, e)
     mod 16 fixes t mod 2^(a+6), and the pairs below 16 with M or e odd
     cover every primitive class.
+
+    Raises BadResidueClass when b1 or b2 is 0, as locally_solvable does.
     """
+    if b1 == 0 or b2 == 0:
+        raise BadResidueClass(f"solvable_at needs nonzero b1, b2, got {b1}, {b2}")
     a, u1 = _split(b1, q)
     b, u2 = _split(b2, q)
     a, b = a % 4, b % 4
@@ -177,8 +181,9 @@ def search_points(
     """Primitive points with max(|M|, |e|) <= height, M, e >= 0.
 
     The scan walks e upward and visits only the M interval where
-    b1 M^4 + b2 e^4 >= 0, so the effective cost is the thin positive
-    region, not height^2.
+    b1 M^4 + b2 e^4 >= 0. That cuts the cost below height^2 only when b1
+    and b2 have opposite signs, as on psi torsors; every phi torsor has
+    b1, b2 > 0 and scans all (height + 1)^2 pairs.
     """
     b1, b2 = torsor.b1, torsor.b2
     found: list[TorsorPoint] = []

@@ -90,7 +90,6 @@ class QuadInt:
 
 
 EPS2 = QuadInt(SQRT2, 1, 1)  # fundamental unit of Z[sqrt2], norm -1
-EPS2_INV = QuadInt(SQRT2, -1, 1)  # eps2^-1 = -1 + sqrt2
 
 
 def _round_div(num: int, den: int) -> int:
@@ -133,26 +132,23 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     raise SplitFailed(f"norm equation for {p} in {ring} not solved")
 
 
-def _unit_candidates(ring: Ring):
-    """Yields (|exponent|, unit) pairs; both signs of each power."""
-    if ring is GAUSS:
-        yield 0, QuadInt(ring, 1, 0)
-        yield 1, QuadInt(ring, 0, 1)
-        yield 1, QuadInt(ring, 0, -1)
-        yield 2, QuadInt(ring, -1, 0)
-        return
-    if ring is SQRTM2:
-        yield 0, QuadInt(ring, 1, 0)
-        yield 0, QuadInt(ring, -1, 0)
-        return
-    # Z[sqrt2]: +-eps2^n, |n| <= 2 (covers every unit class mod 2 sqrt 2)
-    powers = {0: QuadInt(SQRT2, 1, 0)}
-    for n in (1, 2):
-        powers[n] = powers[n - 1] * EPS2
-        powers[-n] = powers[-(n - 1)] * EPS2_INV
-    for n, u in powers.items():
-        yield abs(n), u
-        yield abs(n), -u
+def _least_primary(x: QuadInt) -> list[QuadInt]:
+    """The primary unit multiples of x with least |unit exponent|, eps2 first.
+
+    An odd norm makes a odd, except in Z[i], where a may be even; then
+    i*x = -b + a*i has a odd instead. Once a is odd and b even, exactly one
+    of +-x is primary. In Z[sqrt2] with b odd, eps2*x = (a+2b) + (a+b)sqrt2
+    and eps2^-1*x = (2b-a) + (a-b)sqrt2 have b even while eps2^+-2*x do
+    not; in Z[sqrt-2] with b odd no unit helps.
+    """
+    a, b = x.a, x.b
+    if x.ring is GAUSS and a % 2 == 0:
+        bases = [QuadInt(GAUSS, -b, a)]
+    elif x.ring is SQRT2 and b % 2 == 1:
+        bases = [QuadInt(SQRT2, a + 2 * b, a + b), QuadInt(SQRT2, 2 * b - a, a - b)]
+    else:
+        bases = [x]
+    return [c for y in bases for c in (y, -y) if c.is_primary()]
 
 
 def primary_associate(alpha: QuadInt) -> QuadInt:
@@ -164,17 +160,12 @@ def primary_associate(alpha: QuadInt) -> QuadInt:
     """
     if alpha.norm % 2 == 0:
         raise NoPrimaryAssociate(f"{alpha} has even norm")
-    best: tuple | None = None
-    for conj_flag, base in ((0, alpha), (1, alpha.conj())):
-        for n, u in _unit_candidates(alpha.ring):
-            cand = u * base
-            if cand.is_primary():
-                key = (n, cand.a <= 0, cand.b <= 0, conj_flag)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-    if best is not None:
-        return best[1]
-    raise NoPrimaryAssociate(f"no primary associate of {alpha}")
+    # alpha and its conjugate share the parities of a and b, hence the
+    # least exponent; min is stable, so alpha wins remaining ties
+    cands = _least_primary(alpha) + _least_primary(alpha.conj())
+    if not cands:
+        raise NoPrimaryAssociate(f"no primary associate of {alpha}")
+    return min(cands, key=lambda c: (c.a <= 0, c.b <= 0))
 
 
 def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
@@ -183,17 +174,15 @@ def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
     Stronger than the mod-2*sqrt(2) congruence: its primary units are the
     squares <eps2^2>, so residue symbols of these representatives are
     unambiguous even for moduli of negative norm. Conjugates are not tried;
-    the ideal is preserved.
+    the ideal is preserved. The result is +-alpha if b is even, else
+    +-eps2*alpha, with the sign that makes a + b = 1 mod 4.
     """
     if alpha.ring is not SQRT2:
         raise BadResidueClass("mod-4 normalization is specific to Z[sqrt2]")
     if alpha.norm % 2 == 0:
         raise NoPrimaryAssociate(f"{alpha} has even norm")
-    for _n, u in _unit_candidates(SQRT2):
-        cand = u * alpha
-        if cand.b % 2 == 0 and (cand.a + cand.b) % 4 == 1:
-            return cand
-    raise NoPrimaryAssociate(f"no mod-4 primary associate of {alpha}")
+    y = alpha if alpha.b % 2 == 0 else EPS2 * alpha
+    return y if (y.a + y.b) % 4 == 1 else -y
 
 
 def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:

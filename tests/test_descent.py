@@ -311,12 +311,13 @@ def test_descend_rejects_nonpositive():
         descend(0)
 
 
-# each line once exhausted memory or stalled in a residue-class search
+# each line once exhausted memory, stalled in a residue-class search, or (for
+# solvable_at with a zero coefficient) divided 0 by q forever
 _HARD_INPUTS = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-from cndescent.descent import descend, selmer_group
-from cndescent.errors import FactorBudgetExceeded
+from cndescent.descent import descend, selmer_group, solvable_at
+from cndescent.errors import BadResidueClass, FactorBudgetExceeded
 print(selmer_group(10007, "psi").describe())
 print(selmer_group(1306, "psi").describe())
 print(descend(2**20 * 7, 50).rank_upper)
@@ -324,6 +325,11 @@ try:
     descend(999999937, 50)
 except FactorBudgetExceeded:
     print("FactorBudgetExceeded")
+for b1, b2, q in ((0, 5, 3), (5, 0, 2)):
+    try:
+        solvable_at(b1, b2, q)
+    except BadResidueClass:
+        print("BadResidueClass")
 """
 
 
@@ -339,4 +345,5 @@ def test_hard_inputs_finish_in_bounded_memory():
     # E_{2^20 * 7} is E_7 rescaled, and 7 is congruent: rank 1
     assert proc.stdout.splitlines() == [
         "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
+        "BadResidueClass", "BadResidueClass",
     ]

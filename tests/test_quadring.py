@@ -109,6 +109,93 @@ def test_primary_associate_idempotent_and_primary():
         assert primary_associate(y) == y
 
 
+_EPS2_INV = QuadInt(SQRT2, -1, 1)
+
+
+def _reference_units(ring):
+    """(|exponent|, unit) pairs: both signs of eps2^n, |n| <= 2, in Z[sqrt2]
+    (every unit class mod 2 sqrt 2), and all units of Z[i] and Z[sqrt-2]."""
+    if ring is GAUSS:
+        return [(0, QuadInt(ring, 1, 0)), (1, QuadInt(ring, 0, 1)),
+                (1, QuadInt(ring, 0, -1)), (2, QuadInt(ring, -1, 0))]
+    if ring is SQRTM2:
+        return [(0, QuadInt(ring, 1, 0)), (0, QuadInt(ring, -1, 0))]
+    powers = {0: QuadInt(SQRT2, 1, 0)}
+    for n in (1, 2):
+        powers[n] = powers[n - 1] * EPS2
+        powers[-n] = powers[-(n - 1)] * _EPS2_INV
+    return [(abs(n), w) for n, u in powers.items() for w in (u, -u)]
+
+
+def reference_primary_associate(alpha):
+    """Search oracle: rank every primary unit multiple of alpha and conj(alpha)
+    by (|unit exponent|, a <= 0, b <= 0, conjugated), first found on ties."""
+    if alpha.norm % 2 == 0:
+        raise NoPrimaryAssociate(f"{alpha} has even norm")
+    best = None
+    for conj_flag, base in ((0, alpha), (1, alpha.conj())):
+        for n, u in _reference_units(alpha.ring):
+            cand = u * base
+            if cand.is_primary():
+                key = (n, cand.a <= 0, cand.b <= 0, conj_flag)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+    if best is None:
+        raise NoPrimaryAssociate(f"no primary associate of {alpha}")
+    return best[1]
+
+
+def reference_primary_associate_mod4(alpha):
+    """Search oracle: the first unit multiple with b even and a + b = 1 mod 4."""
+    if alpha.norm % 2 == 0:
+        raise NoPrimaryAssociate(f"{alpha} has even norm")
+    for _n, u in _reference_units(SQRT2):
+        cand = u * alpha
+        if cand.b % 2 == 0 and (cand.a + cand.b) % 4 == 1:
+            return cand
+    raise NoPrimaryAssociate(f"no mod-4 primary associate of {alpha}")
+
+
+def _outcome(fn, x):
+    try:
+        return fn(x)
+    except NoPrimaryAssociate:
+        return NoPrimaryAssociate
+
+
+def _split_primes(bound, rings=RINGS):
+    admissible = {GAUSS: (1, 5), SQRT2: (1, 7), SQRTM2: (1, 3)}
+    return [
+        split_prime(p, ring)
+        for p in primes_in(3, bound)
+        for ring in rings
+        if p % 8 in admissible[ring]
+    ]
+
+
+def test_primary_associate_matches_unit_search():
+    inputs = _split_primes(30000)
+    inputs += [
+        QuadInt(ring, a, b)
+        for ring in RINGS
+        for a in range(-30, 31)
+        for b in range(-30, 31)
+        if (a * a - ring.omega2 * b * b) % 2
+    ]
+    for g in _split_primes(5000, (SQRT2,)):
+        u = v = QuadInt(SQRT2, 1, 0)
+        for _ in range(5):
+            inputs += [w * h for w in (u, -u, v, -v) for h in (g, g.conj())]
+            u, v = u * EPS2, v * _EPS2_INV
+    assert len(inputs) > 18000, len(inputs)
+    for x in inputs:
+        assert _outcome(primary_associate, x) == _outcome(
+            reference_primary_associate, x
+        ), x
+        if x.ring is SQRT2:
+            assert primary_associate_mod4(x) == reference_primary_associate_mod4(x), x
+
+
 def test_primary_associate_mod4_normalization():
     for p in primes_in(17, 500, residue=1):
         g = primary_associate_mod4(split_prime(p, SQRT2))
