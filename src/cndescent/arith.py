@@ -1,17 +1,21 @@
-"""Integer residue symbols and factoring helpers.
+"""Integer residue symbols and the elementary number theory under them.
 
 The descent criteria are driven by four symbol flavours on top of plain
 Jacobi: the quartic residue symbol (a/l)_4 for l = 1 mod 4, the octic
 character (-4/p)_8 for p = 1 mod 8, and the two half symbols (2/l)_4 and
 (l/2)_4. All of them take values in {+1, -1}; anything else raises.
+
+Primality, factoring, square roots mod p, divisors and prime ranges are
+plain-int code with the standard methods (Cohen, A Course in Computational
+Algebraic Number Theory, 1.5 and 8.2), so the package has no runtime
+dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-import sympy
+from itertools import compress, count
+from math import gcd, isqrt
 
 from .errors import (
     BadResidueClass,
@@ -144,17 +148,146 @@ class FactoredInteger:
         return s
 
 
+def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> list[int]:
+    """Primes in [lo, hi), optionally restricted to residue mod `mod`.
+
+    A sieve of Eratosthenes over the segment alone, crossed off by the
+    primes up to sqrt(hi), so it takes hi - lo + sqrt(hi) bytes.
+    """
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    flags = bytearray([1]) * (hi - lo)
+    for q in primes_in(2, isqrt(hi - 1) + 1):
+        start = max(q * q, -(-lo // q) * q) - lo
+        flags[start::q] = bytes(len(range(start, hi - lo, q)))
+    ps = compress(range(lo, hi), flags)
+    if residue is None:
+        return list(ps)
+    return [p for p in ps if p % mod == residue]
+
+
+_TRIAL_PRIMES = tuple(primes_in(2, 1000))
+_SMALL_PRIMES = _TRIAL_PRIMES[:13]  # 2 .. 41
+
+# (bound, k): Miller-Rabin to the first k primes is exact for n < bound, the
+# least strong pseudoprime to all of them (Jaeschke, Math. Comp. 61 (1993);
+# Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BOUNDS = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+)
+
+
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """Miller-Rabin: n passes the strong test to every base (n odd, > base)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's P = 1, Q = (1 - D)/4 (odd n, no
+    factor below 43)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    try:
+        while jacobi(d, n) != -1:
+            d = -d - 2 if d > 0 else -d + 2
+    except NotCoprime:
+        return False
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    half = (n + 1) // 2
+    # (u, v, qk) = (U_k, V_k, Q^k) mod n, k running over the bits of (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (d * u + v) * half % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime (False for n < 2).
+
+    Trial division by the primes up to 41, then Miller-Rabin to the first k
+    primes, with k chosen by the size of n so that the answer is proven
+    exact below 3.317*10^24. Above that it is BPSW, a strong base-2 test
+    plus a strong Lucas-Selfridge test (Baillie and Wagstaff, Math. Comp.
+    35 (1980)), which no known composite passes.
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return _strong_probable_prime(n, _SMALL_PRIMES[:k])
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n: Pollard's rho with Brent's
+    cycle search and batched gcds (Brent, BIT 20 (1980))."""
+    for c in count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                done += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 _FACTOR_LIMIT = 10**18
 
 
 def factor(n: int, limit: int | None = None) -> FactoredInteger:
     """Factor a nonzero integer into FactoredInteger form.
 
-    Uses deterministic methods well past 2^64; above the default budget
-    (10^18) raises FactorBudgetExceeded rather than stalling. The largest
-    numbers the package factors are the torsor constants -k^2 and 4k^2
-    (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8 and
-    even k up to 10^9, and raises FactorBudgetExceeded above that.
+    Trial division by the primes below 1000, then for each cofactor a
+    perfect-square check, `is_prime`, and Pollard-Brent rho. Above the
+    default budget (10^18) raises FactorBudgetExceeded rather than
+    stalling; the hardest case left to rho is two primes near 10^9. The
+    largest numbers the package factors are the torsor constants -k^2 and
+    4k^2 (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8
+    and even k up to 10^9, and raises FactorBudgetExceeded above that.
     """
     if n == 0:
         raise BadResidueClass("cannot factor 0")
@@ -163,17 +296,60 @@ def factor(n: int, limit: int | None = None) -> FactoredInteger:
     if abs(n) > limit:
         raise FactorBudgetExceeded(f"|{n}| exceeds factoring budget {limit}")
     sign = 1 if n > 0 else -1
-    fd = sympy.factorint(abs(n))
-    return FactoredInteger(sign, tuple(sorted(fd.items())))
+    n = abs(n)
+    exps: dict[int, int] = {}
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
+        while n % q == 0:
+            n //= q
+            exps[q] = exps.get(q, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        r = isqrt(m)
+        if r * r == m:
+            stack += [r, r]
+        elif m < 10**6 or is_prime(m):  # no factor below 1000 is left in m
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    return FactoredInteger(sign, tuple(sorted(exps.items())))
 
 
-def is_prime(n: int) -> bool:
-    return bool(sympy.isprime(n))
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """The least square root of a mod the prime p, min(r, p - r), or None
+    when a is a non-residue. Tonelli-Shanks.
+
+    `split_prime` depends on which root it gets: its Euclid gcd of p and
+    r - omega gives the conjugate prime for the other root, so the split
+    it reports, and every symbol built on it, is fixed by taking the least.
+    """
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
-def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> list[int]:
-    """Primes in [lo, hi), optionally restricted to residue mod `mod`."""
-    ps = sympy.primerange(lo, hi)
-    if residue is None:
-        return list(ps)
-    return [p for p in ps if p % mod == residue]
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending."""
+    ds = [1]
+    for q, e in factor(n).factors:
+        ds = [d * q**i for d in ds for i in range(e + 1)]
+    return sorted(ds)

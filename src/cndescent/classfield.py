@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from sympy import divisors
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
-from .arith import half_symbols, is_prime, jacobi, octic_minus4
+from .arith import divisors, half_symbols, is_prime, jacobi, octic_minus4, sqrt_mod_prime
 from .errors import (
     BadResidueClass,
     BudgetExceeded,
@@ -387,7 +384,7 @@ def fourth_power_class_test(p: int, l: int) -> bool:
             f"(2l/{p}) = -1: no form of discriminant {8 * l} represents {p}"
         )
     grp = form_class_group(8 * l)
-    r = int(sqrt_mod(8 * l % p, p))
+    r = sqrt_mod_prime(8 * l, p)
     b = r if r % 2 == 0 else p - r
     form = (p, b, (b * b - 8 * l) // (4 * p))
     return grp.class_of(form) in grp.fourth_powers()

@@ -10,9 +10,8 @@ suite, not assumed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from .arith import is_prime, jacobi
+from .arith import is_prime, jacobi, sqrt_mod_prime
 from .errors import (
     BadResidueClass,
     CompositeModulus,
@@ -124,9 +123,9 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     }[ring]
     if not ok:
         raise Inert(f"{p} does not split in {ring}")
-    r = sqrt_mod(ring.omega2 % p, p)
+    r = sqrt_mod_prime(ring.omega2, p)
     if r is not None:
-        g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, int(r), -1))
+        g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
         if abs(g.norm) == p:
             return g
     raise SplitFailed(f"norm equation for {p} in {ring} not solved")

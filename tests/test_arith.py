@@ -1,21 +1,27 @@
 import random
-from math import gcd
+from itertools import compress
+from math import gcd, prod
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from cndescent.arith import (
     FactoredInteger,
+    _strong_lucas_probable_prime,
+    divisors,
     factor,
     half_symbols,
+    is_prime,
     jacobi,
     octic_minus4,
     octic_minus4_product,
     primes_in,
     quartic_symbol,
     quartic_symbol_product,
+    sqrt_mod_prime,
 )
 from cndescent.errors import (
     BadResidueClass,
@@ -230,9 +236,118 @@ def test_factor_round_trip():
 def test_factor_budget():
     with pytest.raises(FactorBudgetExceeded):
         factor(10**19 + 1)
+    assert factor(10**18).factors == ((2, 18), (5, 18))
+    assert factor(-(10**18)).sign == -1
+    for n in (10**18 + 1, -(10**18) - 1):
+        with pytest.raises(FactorBudgetExceeded):
+            factor(n)
+    with pytest.raises(BadResidueClass):
+        factor(0)
 
 
 def test_factor_known_products():
     assert factor(4633).factors == ((41, 1), (113, 1))
     assert factor(93193).factors == ((41, 1), (2273, 1))
     assert factor(1513).factors == ((17, 1), (89, 1))
+
+
+def test_factor_against_sympy_random():
+    rng = random.Random(18)
+    for _ in range(150):
+        n = rng.randrange(1, 10 ** rng.randrange(2, 19) + 1) * rng.choice((1, -1))
+        f = factor(n)
+        assert f.value == n
+        assert dict(f.factors) == sympy.factorint(abs(n))
+
+
+def test_factor_semiprimes_squares_and_powers():
+    rng = random.Random(9)
+    for _ in range(12):
+        p, q = sorted(sympy.nextprime(rng.randrange(10**8, 10**9 - 100)) for _ in range(2))
+        assert factor(p * q).factors == (((p, 2),) if p == q else ((p, 1), (q, 1)))
+        assert factor(p * p).factors == ((p, 2),)
+        r = sympy.nextprime(rng.randrange(10**8, 5 * 10**8))
+        assert factor(-4 * r * r) == FactoredInteger(-1, ((2, 2), (r, 2)))
+    for p in (1009, 65537, 999983, 10**6 + 3):
+        for e in range(2, 7):
+            if 7 * p**e <= 10**18:
+                assert factor(p**e).factors == ((p, e),)
+                assert factor(7 * p**e).factors == ((7, 1), (p, e))
+    p, q = sympy.prevprime(10**6), sympy.nextprime(10**6)
+    assert factor(p * q * q).factors == ((p, 1), (q, 2))
+
+
+# --- primality, square roots, divisors, prime ranges -------------------------
+
+
+def test_is_prime_below_10_6_against_sympy():
+    n = 10**6
+    assert list(compress(range(n), map(is_prime, range(n)))) == list(sympy.primerange(0, n))
+    assert not any(is_prime(m) for m in range(-50, 2))
+
+
+# the least strong pseudoprimes to the first k primes, k = 1..13 (ten distinct
+# values): the Miller-Rabin base-set bounds, where each shorter base set fails
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161)
+
+
+def test_is_prime_at_base_set_bounds_and_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n)
+        for m in (n - 2, n - 1, n + 1, n + 2):
+            assert is_prime(m) == sympy.isprime(m), m
+    for n in CARMICHAEL:
+        assert not is_prime(n)
+
+
+def test_is_prime_random_large_against_sympy():
+    rng = random.Random(64)
+    for _ in range(1500):
+        n = rng.getrandbits(rng.randrange(64, 257)) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(60):
+        bits = rng.randrange(32, 129)
+        p = sympy.nextprime(rng.getrandbits(bits))
+        q = sympy.nextprime(rng.getrandbits(bits))
+        assert is_prime(p) and is_prime(q) and not is_prime(p * q)
+
+
+def test_strong_lucas_against_sympy():
+    """The Lucas half of BPSW, on every odd n in [43^2, 10^5) without a
+    factor up to 41: its strong Lucas pseudoprimes (5459, 5777, ...) too."""
+    small = prod(sympy.primerange(3, 42))
+    for n in range(43 * 43, 10**5, 2):
+        if gcd(n, small) == 1:
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+def test_sqrt_mod_prime_against_sympy():
+    """The least root, as split_prime needs; None for a non-residue."""
+    for p in primes_in(2, 2 * 10**5):
+        for a in (-1, 2, -2):
+            assert sqrt_mod_prime(a, p) == sympy.sqrt_mod(a, p), (a, p)
+    assert sqrt_mod_prime(0, 13) == 0 and sqrt_mod_prime(26, 13) == 0
+    assert sqrt_mod_prime(8 * 13, 17) == sympy.sqrt_mod(8 * 13, 17)
+
+
+def test_divisors_against_sympy():
+    for n in range(1, 5000):
+        assert divisors(n) == sympy.divisors(n)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(-10, 2), (0, 3), (2, 3), (3, 1000), (17, 4000), (997, 1009),
+              (10**6 - 500, 10**6 + 500), (10**12, 10**12 + 10**4)]
+)
+def test_primes_in_against_primerange(lo, hi):
+    expect = list(sympy.primerange(lo, hi))
+    assert primes_in(lo, hi) == expect
+    for residue in (1, 2, 3, 5, 7):
+        assert primes_in(lo, hi, residue) == [p for p in expect if p % 8 == residue]
+    assert primes_in(lo, hi, 1, mod=4) == [p for p in expect if p % 4 == 1]

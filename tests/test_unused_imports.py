@@ -1,11 +1,15 @@
-"""Every module of the package uses each name it imports, and every private
-module-level name is referenced somewhere besides its own definition.
+"""Every module of the package uses each name it imports, every private
+module-level name is referenced somewhere besides its own definition, and
+importing the CLI loads no third-party package: sympy is a test oracle only.
 
 `__init__` is exempt from the import check: its imports are the public
 re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,12 @@ def test_every_private_name_is_referenced():
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unreferenced_privates(package, tests) == []
+
+
+def test_runtime_does_not_import_sympy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import cndescent.cli, sys; print('sympy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
