@@ -278,12 +278,12 @@ def _pollard_brent(n: int) -> int:
 _FACTOR_LIMIT = 10**18
 
 
-def factor(n: int, limit: int | None = None) -> FactoredInteger:
+def factor(n: int) -> FactoredInteger:
     """Factor a nonzero integer into FactoredInteger form.
 
     Trial division by the primes below 1000, then for each cofactor a
     perfect-square check, `is_prime`, and Pollard-Brent rho. Above the
-    default budget (10^18) raises FactorBudgetExceeded rather than
+    budget _FACTOR_LIMIT (10^18) raises FactorBudgetExceeded rather than
     stalling; the hardest case left to rho is two primes near 10^9. The
     largest numbers the package factors are the torsor constants -k^2 and
     4k^2 (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8
@@ -291,10 +291,8 @@ def factor(n: int, limit: int | None = None) -> FactoredInteger:
     """
     if n == 0:
         raise BadResidueClass("cannot factor 0")
-    if limit is None:
-        limit = _FACTOR_LIMIT
-    if abs(n) > limit:
-        raise FactorBudgetExceeded(f"|{n}| exceeds factoring budget {limit}")
+    if abs(n) > _FACTOR_LIMIT:
+        raise FactorBudgetExceeded(f"|{n}| exceeds factoring budget {_FACTOR_LIMIT}")
     sign = 1 if n > 0 else -1
     n = abs(n)
     exps: dict[int, int] = {}

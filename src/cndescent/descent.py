@@ -46,6 +46,16 @@ class TorsorPoint:
         return self.N**2 == torsor.b1 * self.M**4 + torsor.b2 * self.e**4
 
 
+def _torsor_constant(k: int, side: str) -> int:
+    """b1 b2, the same on every torsor of the side: -k^2 on psi, and on phi
+    4k^2 for odd k or k^2/4 for even k."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if side == PSI:
+        return -k * k
+    return 4 * k * k if k % 2 == 1 else k * k // 4
+
+
 def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
     """All candidate b1 classes for the given isogeny side, keyed by b1.
 
@@ -53,14 +63,7 @@ def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
     squarefree divisors of the torsor constant's radical, which is that of
     2k for odd k and that of k^2/4 for even k (it contains 2 when 4 | k).
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if side == PSI:
-        const = -k * k
-    elif k % 2 == 1:
-        const = 4 * k * k
-    else:
-        const = k * k // 4
+    const = _torsor_constant(k, side)
     divisors = [1]
     for q, _ in factor(const).factors:
         divisors += [d * q for d in divisors]
@@ -259,12 +262,11 @@ class DescentReport:
 
 def _free_classes(k: int, side: str) -> dict[int, TorsorPoint]:
     """Torsor classes with a forced global point (torsion images)."""
+    if side == PHI:
+        return {1: TorsorPoint(1, 1, 0)}
     ksf = factor(k).squarefree_part()
     s = isqrt(k // ksf)
-    if side == PSI:
-        pts = {1: (1, 1, 0), -1: (k, 0, 1), ksf: (0, s, 1), -ksf: (0, s, 1)}
-    else:
-        pts = {1: (1, 1, 0)}
+    pts = {1: (1, 1, 0), -1: (k, 0, 1), ksf: (0, s, 1), -ksf: (0, s, 1)}
     return {b1: TorsorPoint(*t) for b1, t in pts.items()}
 
 
@@ -272,7 +274,6 @@ def descend(k: int, height: int = 1000) -> DescentReport:
     """Full descent: Selmer groups, point search, certificates, bounds."""
     notes: list[str] = []
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
-    torsors = {s: enumerate_torsors(k, s) for s in (PSI, PHI)}
 
     cls = classify_auto(k)
     sha_cert = {PSI: SquareClassGroup.trivial(), PHI: SquareClassGroup.trivial()}
@@ -302,6 +303,7 @@ def descend(k: int, height: int = 1000) -> DescentReport:
     witnesses: dict[str, dict[int, TorsorPoint]] = {}
     w_found: dict[str, SquareClassGroup] = {}
     for side in (PSI, PHI):
+        const = _torsor_constant(k, side)
         witnesses[side] = _free_classes(k, side)
         gens = list(witnesses[side])
         for b1 in gens:
@@ -312,31 +314,26 @@ def descend(k: int, height: int = 1000) -> DescentReport:
         current = SquareClassGroup.span(*gens)
         # the largest W the certificates allow
         cert_dim_bound = selmer[side].dim - sha_cert[side].dim
-        for t in torsors[side].values():
+        # Selmer classes in torsor order: by |b1|, then b1 before -b1
+        for b1 in selmer[side]:
             if current.dim >= cert_dim_bound:
                 break
-            if t.b1 not in selmer[side] or t.b1 in current:
+            if b1 in current or b1 in sha_cert[side]:
+                continue  # class 1 is in current; certified classes are obstructed
+            if side == PHI and w_phi_cap is not None and b1 not in w_phi_cap:
                 continue
-            if t.b1 in sha_cert[side] and t.b1 != 1:
-                continue  # certified obstructed: do not bother searching
-            if side == PHI and w_phi_cap is not None and t.b1 not in w_phi_cap:
-                continue
-            pts = search_points(t, height, stop_at_first=True)
+            pts = search_points(Torsor(side, b1, const // b1), height, stop_at_first=True)
             if pts:
-                witnesses[side][t.b1] = pts[0]
-                gens.append(t.b1)
+                witnesses[side][b1] = pts[0]
+                gens.append(b1)
                 current = SquareClassGroup.span(*gens)
-        w_found[side] = current
-
-    for side in (PSI, PHI):
-        if not w_found[side] <= selmer[side]:
-            raise InconsistentCriteria(f"W on {side} escapes the Selmer group")
-        for b1 in w_found[side]:
+        for b1 in current:
             if b1 in sha_cert[side] and b1 != 1:
                 raise InconsistentCriteria(
                     f"class {b1} on {side} has a point but was certified"
                     " locally obstructed"
                 )
+        w_found[side] = current
 
     rank_lower = max(0, w_found[PSI].dim + w_found[PHI].dim - 2)
     rank_upper, sha2 = selmer_rank_bound(

@@ -123,11 +123,11 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     }[ring]
     if not ok:
         raise Inert(f"{p} does not split in {ring}")
+    # the residue classes above are those where omega^2 is a square mod p
     r = sqrt_mod_prime(ring.omega2, p)
-    if r is not None:
-        g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
-        if abs(g.norm) == p:
-            return g
+    g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
+    if abs(g.norm) == p:
+        return g
     raise SplitFailed(f"norm equation for {p} in {ring} not solved")
 
 
@@ -195,10 +195,8 @@ def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:
     q = abs(beta.norm)
     if q % 2 == 0 or not is_prime(q):
         raise CompositeModulus(f"|N({beta})| = {q} is not an odd prime")
+    # q does not divide d: else q | c too, and q^2 would divide N(beta) = +-q
     c, d = beta.a % q, beta.b % q
-    if d == 0:
-        # would force q^2 | N(beta); unreachable for prime norm
-        raise CompositeModulus(f"{beta} is not a degree-one prime")
     r = (-c * pow(d, -1, q)) % q
     t = (alpha.a + alpha.b * r) % q
     if t == 0:

@@ -48,12 +48,17 @@ class SquareClassGroup:
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
         elems = frozenset(elements) | {1}
-        for a in elems:
-            for b in elems:
-                if squarefree_mul(a, b) not in elems:
-                    raise NotAGroup(
-                        f"{a} * {b} = {squarefree_mul(a, b)} missing from {sorted(elems)}"
-                    )
+
+        def mul(a: int, b: int) -> int:
+            c = squarefree_mul(a, b)
+            if c not in elems:
+                raise NotAGroup(f"{a} * {b} = {c} missing from {sorted(elems)}")
+            return c
+
+        # the span of elems equals elems iff elems is closed; checking each
+        # product as it is formed keeps the span inside elems, at most
+        # len(elems) - 1 products
+        _double(elems, mul, 1)
         return SquareClassGroup(elems)
 
     @staticmethod

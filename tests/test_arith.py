@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from cndescent.arith import (
+    _FACTOR_LIMIT,
     FactoredInteger,
     _strong_lucas_probable_prime,
     divisors,
@@ -234,12 +235,15 @@ def test_factor_round_trip():
 
 
 def test_factor_budget():
+    assert _FACTOR_LIMIT == 10**18
     with pytest.raises(FactorBudgetExceeded):
         factor(10**19 + 1)
-    assert factor(10**18).factors == ((2, 18), (5, 18))
-    assert factor(-(10**18)).sign == -1
-    for n in (10**18 + 1, -(10**18) - 1):
-        with pytest.raises(FactorBudgetExceeded):
+    assert factor(_FACTOR_LIMIT).factors == ((2, 18), (5, 18))
+    assert factor(-_FACTOR_LIMIT).sign == -1
+    for n in (_FACTOR_LIMIT + 1, -_FACTOR_LIMIT - 1):
+        with pytest.raises(
+            FactorBudgetExceeded, match=rf"^\|{n}\| exceeds factoring budget {10**18}$"
+        ):
             factor(n)
     with pytest.raises(BadResidueClass):
         factor(0)

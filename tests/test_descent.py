@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cndescent
+from cndescent import descent
 from cndescent.descent import (
     PHI,
     PSI,
@@ -23,6 +24,7 @@ from cndescent.descent import (
     selmer_group,
     solvable_at,
     _free_classes,
+    _torsor_constant,
 )
 from cndescent.errors import InconsistentCriteria
 from cndescent.sqclass import SquareClassGroup
@@ -223,6 +225,19 @@ def test_selmer_small_residue_families():
     assert selmer_group(161, PHI) == SquareClassGroup.span(2)
 
 
+def test_selmer_iterates_in_torsor_order():
+    """descend walks selmer_group in place of the torsor dict: same classes,
+    same order, and the torsor it builds from the side constant is the dict's."""
+    for k in range(1, 2000):
+        for side in (PSI, PHI):
+            torsors = enumerate_torsors(k, side)
+            sel = selmer_group(k, side)
+            assert list(sel) == [b1 for b1 in torsors if b1 in sel], (k, side)
+            const = _torsor_constant(k, side)
+            for b1 in sel:
+                assert Torsor(side, b1, const // b1) == torsors[b1], (k, side, b1)
+
+
 # --- point search -------------------------------------------------------------
 
 
@@ -304,6 +319,18 @@ def test_descend_17_consistent():
     assert rep.rank_lower <= rep.rank_upper
     assert rep.w_psi <= rep.selmer_psi
     assert rep.w_phi <= rep.selmer_phi
+
+
+def test_descend_enumerates_each_side_once(monkeypatch):
+    calls = []
+
+    def counted(k, side):
+        calls.append(side)
+        return enumerate_torsors(k, side)
+
+    monkeypatch.setattr(descent, "enumerate_torsors", counted)
+    descend(30030, 50)
+    assert sorted(calls) == [PHI, PSI]
 
 
 def test_descend_rejects_nonpositive():

@@ -32,6 +32,43 @@ def test_from_elements_requires_closure():
         SquareClassGroup.from_elements({2, 34})  # no identity
 
 
+def _pairwise_from_elements(elements) -> bool:
+    """Closure by forming every product: the check from_elements used to make."""
+    elems = frozenset(elements) | {1}
+    return all(squarefree_mul(a, b) in elems for a in elems for b in elems)
+
+
+def _accepts(elements) -> bool:
+    try:
+        group = SquareClassGroup.from_elements(elements)
+    except NotAGroup:
+        return False
+    assert group.elements == frozenset(elements) | {1}
+    return True
+
+
+def test_from_elements_matches_pairwise_check():
+    universe = SquareClassGroup.span(-1, 2, 17).elements
+    for n in range(len(universe) + 1):
+        for sub in itertools.combinations(sorted(universe), n):
+            assert _accepts(sub) == _pairwise_from_elements(sub), sub
+    rng = random.Random(1513)
+    primes = (-1, 2, 3, 5, 7, 11, 13)
+    accepted = 0
+    for _ in range(500):
+        group = SquareClassGroup.span(*rng.sample(primes, rng.randrange(5)))
+        elems = set(group.elements)
+        # drop, add or keep a few classes, and sometimes the identity
+        for x in rng.sample(sorted(elems), min(len(elems), rng.randrange(3))):
+            elems.discard(x)
+        for _ in range(rng.randrange(3)):
+            elems.add(math.prod(rng.sample(primes, rng.randrange(1, 4))))
+        ok = _accepts(elems)
+        assert ok == _pairwise_from_elements(elems), sorted(elems)
+        accepted += ok
+    assert 0 < accepted < 500
+
+
 def test_generators_regenerate():
     g = SquareClassGroup.span(6, 10, -15)
     regen = SquareClassGroup.span(*g.generators())
