@@ -1,6 +1,6 @@
 """Classical invariants of real quadratic orders: continued-fraction
 fundamental units, Pell representability, and strict class groups of binary
-quadratic forms with Gauss composition.
+quadratic forms with Dirichlet composition.
 
 Nothing in here touches residue symbols. That is the point: these are
 independent oracles, and the correspondences the descent criteria rely on
@@ -26,6 +26,26 @@ from .errors import (
 # --- units and Pell equations ---------------------------------------------------
 
 
+_PELL_SCAN = 20000  # y-range of the uncertified scan for sqrt(d) <= |c|
+_DISC_LIMIT = 8 * 10**4  # largest discriminant FormClassGroup accepts
+
+
+def _convergents(d: int):
+    """Convergents (h, k) of sqrt(d), each with a flag that is set when the
+    next partial quotient is 2 floor(sqrt(d)), i.e. when (h, k) ends a period."""
+    a0 = isqrt(d)
+    p_, q_, a = 0, 1, a0
+    h0, h1 = 1, a0
+    k0, k1 = 0, 1
+    while True:
+        p_ = a * q_ - p_
+        q_ = (d - p_ * p_) // q_
+        a = (a0 + p_) // q_
+        yield h1, k1, q_ == 1 and a == 2 * a0
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+
+
 def fundamental_unit(d: int) -> tuple[int, int, int]:
     """Least unit > 1 of Z[sqrt(d)] as (u, v, norm), meaning u + v sqrt(d).
 
@@ -36,22 +56,11 @@ def fundamental_unit(d: int) -> tuple[int, int, int]:
     a0 = isqrt(d)
     if d < 2 or a0 * a0 == d:
         raise ValueError(f"need a nonsquare d >= 2, got {d}")
-    p_, q_ = 0, 1
-    a = a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
-    while True:
-        p_ = a * q_ - p_
-        q_ = (d - p_ * p_) // q_
-        a = (a0 + p_) // q_
-        if q_ == 1 and a == 2 * a0:
-            break
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-    return (h1, k1, h1 * h1 - d * k1 * k1)
+    h, k = next((h, k) for h, k, end in _convergents(d) if end)
+    return (h, k, h * h - d * k * k)
 
 
-def pell_solvable(d: int, c: int, scan: int = 20000) -> tuple[int, int] | None:
+def pell_solvable(d: int, c: int) -> tuple[int, int] | None:
     """A solution (x, y) of x^2 - d y^2 = c with x, y >= 0, or None.
 
     For 0 < |c| < sqrt(d) any solution appears among the convergents of
@@ -70,26 +79,17 @@ def pell_solvable(d: int, c: int, scan: int = 20000) -> tuple[int, int] | None:
         r = isqrt(c)
         if r * r == c:
             return (r, 0)
-    # convergent sweep over two periods
-    p_, q_ = 0, 1
-    a = a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
     periods = 0
-    while periods < 2:
-        if h1 * h1 - d * k1 * k1 == c:
-            return (h1, k1)
-        p_ = a * q_ - p_
-        q_ = (d - p_ * p_) // q_
-        a = (a0 + p_) // q_
-        if q_ == 1 and a == 2 * a0:
-            periods += 1
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
+    for h, k, end in _convergents(d):
+        if h * h - d * k * k == c:
+            return (h, k)
+        periods += end
+        if periods == 2:
+            break
     if c * c < d:
         # |c| < sqrt(d): the convergent sweep was exhaustive
         return None
-    for y in range(1, scan):
+    for y in range(1, _PELL_SCAN):
         t = c + d * y * y
         if t >= 0:
             x = isqrt(t)
@@ -144,50 +144,16 @@ def _reduced_forms(d: int) -> list[tuple[int, int, int]]:
             continue
         m = (d - b * b) // 4  # equals -a*c > 0
         for aa in divisors(m):
-            if (b + 2 * aa) ** 2 <= d:
-                continue
-            if 2 * aa > b and (2 * aa - b) ** 2 >= d:
-                continue
+            # _is_reduced reads only |a| and b: (aa, b, -c) and (-aa, b, c)
+            # are reduced together, and primitive together
             cval = m // aa
-            for a, c in ((aa, -cval), (-aa, cval)):
-                if gcd(gcd(abs(a), b), abs(c)) == 1:
-                    out.append((a, b, c))
+            if _is_reduced((aa, b, -cval), d) and gcd(aa, b, cval) == 1:
+                out += [(aa, b, -cval), (-aa, b, cval)]
     return out
 
 
-def _transformed(form, x, r, y, s):
-    a, b, c = form
-    return (
-        a * x * x + b * x * y + c * y * y,
-        2 * a * x * r + b * (x * s + y * r) + 2 * c * y * s,
-        a * r * r + b * r * s + c * s * s,
-    )
-
-
-def _coprime_lead(form: tuple[int, int, int], n: int) -> tuple[int, int, int]:
-    """A form properly equivalent to `form` whose first coefficient is
-    nonzero and coprime to n."""
-    a, b, c = form
-    for x in range(0, 60):
-        for y in range(0, 60):
-            if gcd(x, y) != 1:
-                continue
-            for xx, yy in ((x, y), (x, -y), (-x, y), (-x, -y)):
-                val = a * xx * xx + b * xx * yy + c * yy * yy
-                if val == 0 or gcd(val, n) != 1:
-                    continue
-                # complete (xx, yy) to a determinant +1 matrix; _ext_gcd
-                # may return -gcd for negative inputs, so renormalize
-                g_, u, v = _ext_gcd(xx, yy)
-                if g_ < 0:
-                    u, v = -u, -v
-                return _transformed(form, xx, -v, yy, u)
-    raise InconsistentCriteria(
-        f"no small value of {form} is coprime to {n}"
-    )
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and a x + b y = g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -196,20 +162,25 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 
 def _compose_forms(f1, f2, d):
-    """Gauss composition via a concordant pair."""
+    """Dirichlet composition of two primitive forms of discriminant d.
+
+    With e = gcd(a1, a2, (b1 + b2)/2) = u a1 + v a2 + w (b1 + b2)/2, the
+    composite is (a1 a2 / e^2, B, .) where
+    B = (u a1 b2 + v a2 b1 + w (b1 b2 + d)/2) / e.
+    """
     a1, b1, _ = f1
-    a2, b2, _ = _coprime_lead(f2, a1)
-    m = abs(a2)
-    if m == 1:
-        t = 0
-    else:
-        t = ((b2 - b1) // 2 * pow(a1 % m, -1, m)) % m
-    b = b1 + 2 * a1 * t
-    a = a1 * a2
+    a2, b2, _ = f2
+    g, x, y = _ext_gcd(a1, a2)
+    e, z, w = _ext_gcd(g, (b1 + b2) // 2)
+    u, v = z * x, z * y
+    a = a1 * a2 // (e * e)
+    b = (u * a1 * b2 + v * a2 * b1 + w * ((b1 * b2 + d) // 2)) // e
     return (a, b, (b * b - d) // (4 * a))
 
 
@@ -222,14 +193,14 @@ class FormClassGroup:
     class when N(eps) = +1).
     """
 
-    def __init__(self, disc: int, limit: int = 8 * 10**4):
+    def __init__(self, disc: int):
         if disc <= 0 or disc % 4 != 0:
             raise ValueError(f"need a positive discriminant = 0 mod 4, got {disc}")
         s = isqrt(disc)
         if s * s == disc:
             raise ValueError(f"square discriminant {disc}")
-        if disc > limit:
-            raise BudgetExceeded(f"discriminant {disc} above budget {limit}")
+        if disc > _DISC_LIMIT:
+            raise BudgetExceeded(f"discriminant {disc} above budget {_DISC_LIMIT}")
         self.disc = disc
         _, _, self.norm_eps = fundamental_unit(disc // 4)
         forms = _reduced_forms(disc)
@@ -275,17 +246,11 @@ class FormClassGroup:
             self._mul[key] = self.class_of(f)
         return self._mul[key]
 
-    def power(self, i: int, n: int) -> int:
-        out = self.identity
-        for _ in range(n):
-            out = self.compose(out, i)
-        return out
-
     def squares(self) -> frozenset[int]:
         return frozenset(self.compose(i, i) for i in range(self.h_plus))
 
     def fourth_powers(self) -> frozenset[int]:
-        return frozenset(self.power(i, 4) for i in range(self.h_plus))
+        return frozenset(self.compose(s, s) for s in self.squares())
 
 
 def form_class_group(disc: int) -> FormClassGroup:
@@ -412,8 +377,6 @@ def quad_field_data(l: int) -> QuadFieldData:
         raise BadResidueClass(f"need a prime = 1 mod 8, got {l}")
     u, v, norm = fundamental_unit(2 * l)
     grp = form_class_group(8 * l)
-    if grp.norm_eps != norm:
-        raise InconsistentCriteria(f"unit norm mismatch for l = {l}")
     return QuadFieldData(
         l=l,
         d=2 * l,

@@ -68,8 +68,8 @@ def _cmd_selmer(args) -> int:
     if args.json:
         print(json.dumps({
             "k": args.k,
-            "selmer_psi": sorted(psi, key=abs),
-            "selmer_phi": sorted(phi, key=abs),
+            "selmer_psi": list(psi),
+            "selmer_phi": list(phi),
         }))
     else:
         print(f"k = {args.k}")

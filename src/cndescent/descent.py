@@ -244,12 +244,12 @@ class DescentReport:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "selmer_psi": sorted(self.selmer_psi, key=abs),
-            "selmer_phi": sorted(self.selmer_phi, key=abs),
-            "w_psi": sorted(self.w_psi, key=abs),
-            "w_phi": sorted(self.w_phi, key=abs),
-            "sha_psi_cert": sorted(self.sha_psi_cert, key=abs),
-            "sha_phi_cert": sorted(self.sha_phi_cert, key=abs),
+            "selmer_psi": list(self.selmer_psi),
+            "selmer_phi": list(self.selmer_phi),
+            "w_psi": list(self.w_psi),
+            "w_phi": list(self.w_phi),
+            "sha_psi_cert": list(self.sha_psi_cert),
+            "sha_phi_cert": list(self.sha_phi_cert),
             "rank_lower": self.rank_lower,
             "rank_upper": self.rank_upper,
             "sha2_dim": self.sha2_dim,

@@ -69,6 +69,7 @@ class SquareClassGroup:
         return x in self.elements
 
     def __iter__(self):
+        """Classes by (|x|, x < 0); the JSON outputs list groups in this order."""
         return iter(sorted(self.elements, key=lambda v: (abs(v), v < 0)))
 
     def __len__(self) -> int:
@@ -120,4 +121,6 @@ def concretize(labels, p: int, l: int) -> SquareClassGroup:
     """
     values = {"-1": -1, "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l,
               "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
-    return SquareClassGroup.span(*(values[s] for s in labels))
+    # span in this dict's order, not the caller's: a frozenset of labels
+    # iterates in string-hash order, which changes from process to process
+    return SquareClassGroup.span(*(v for s, v in values.items() if s in labels))

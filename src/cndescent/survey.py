@@ -86,8 +86,8 @@ class SurveyRow:
             "profile": list(self.profile) if self.profile is not None else None,
             "rank_lower": self.rank_lower,
             "rank_upper": self.rank_upper,
-            "sha_phi": sorted(self.sha_phi, key=abs),
-            "sha_psi": sorted(self.sha_psi, key=abs),
+            "sha_phi": list(self.sha_phi),
+            "sha_psi": list(self.sha_psi),
             "witnesses": self.witnesses,
         }
 

@@ -5,7 +5,7 @@ The sweeps here are sized for the unit-test budget; the full-range versions
 """
 
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -13,7 +13,6 @@ from cndescent.arith import jacobi, primes_in
 from cndescent.classfield import (
     FormClassGroup,
     _reduce_form,
-    _transformed,
     form_class_group,
     fourth_power_class_test,
     fundamental_unit,
@@ -134,12 +133,46 @@ def test_group_axioms(l):
                 assert table[table[i][j]][k] == table[i][table[j][k]]
 
 
+def test_compose_matches_the_united_form():
+    # Dirichlet's definition: when gcd(a1, a2, (b1 + b2)/2) = 1 the classes of
+    # (a1, b1, .) and (a2, b2, .) compose to (a1 a2, B, .), where B is the
+    # unique value mod 2 a1 a2 agreeing with b1 mod 2 a1 and b2 mod 2 a2 and
+    # with B^2 = D mod 4 a1 a2
+    checked = 0
+    for disc in (136, 328, 712, 904, 4744):
+        g = form_class_group(disc)
+        for i, ci in enumerate(g.cycles):
+            for j, cj in enumerate(g.cycles):
+                (a1, b1, _), (a2, b2, _) = ci[0], cj[0]
+                if gcd(a1, a2, (b1 + b2) // 2) != 1:
+                    continue
+                a = a1 * a2
+                (b,) = [
+                    b for b in range(2 * abs(a))
+                    if (b - b1) % (2 * a1) == 0
+                    and (b - b2) % (2 * a2) == 0
+                    and (b * b - disc) % (4 * a) == 0
+                ]
+                assert g.class_of((a, b, (b * b - disc) // (4 * a))) == g.compose(i, j)
+                checked += 1
+    assert checked == 132
+
+
 def test_opposite_form_is_inverse():
     for disc in (136, 328, 904, 4744):
         g = form_class_group(disc)
         for cyc in g.cycles:
             a, b, c = cyc[0]
             assert g.compose(g.class_of((a, b, c)), g.class_of((a, -b, c))) == g.identity
+
+
+def _transformed(form, x, r, y, s):
+    a, b, c = form
+    return (
+        a * x * x + b * x * y + c * y * y,
+        2 * a * x * r + b * (x * s + y * r) + 2 * c * y * s,
+        a * r * r + b * r * s + c * s * s,
+    )
 
 
 def test_reduction_respects_equivalence():

@@ -360,17 +360,31 @@ for b1, b2, q in ((0, 5, 3), (5, 0, 2)):
 """
 
 
-def test_hard_inputs_finish_in_bounded_memory():
+def _run_child(code: str, **env_vars: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package."""
     src = str(Path(cndescent.__file__).parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _HARD_INPUTS],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=20, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_hard_inputs_finish_in_bounded_memory():
+    out = _run_child(_HARD_INPUTS)
     # E_{2^20 * 7} is E_7 rescaled, and 7 is congruent: rank 1
-    assert proc.stdout.splitlines() == [
+    assert out.splitlines() == [
         "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
         "BadResidueClass", "BadResidueClass",
     ]
+
+
+def test_report_repr_does_not_follow_the_string_hash():
+    # the criteria name square classes by string labels; the concrete groups
+    # built from them must not inherit the per-process order of those strings
+    code = "from cndescent import descend\nfor k in (1513, 4633): print(repr(descend(k, 60)))"
+    outs = {_run_child(code, PYTHONHASHSEED=str(seed)) for seed in range(4)}
+    assert len(outs) == 1

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every private
-module-level name is referenced somewhere besides its own definition, and
+module-level name is referenced somewhere besides its own definition, every
+parameter default is overridden by some call (else it is a constant), and
 importing the CLI loads no third-party package: sympy is a test oracle only.
 
 `__init__` is exempt from the import check: its imports are the public
@@ -83,6 +84,67 @@ def unreferenced_privates(package: dict[str, str], others: list[str]) -> list[st
     return out
 
 
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, str]]:
+    """(name calls use, label, position or None if keyword-only, parameter)
+    for each parameter with a default. A method is called by its attribute
+    name and `__init__` by its class name; `self` and `cls` take no position."""
+    found = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                if cls is None:
+                    called, label = child.name, child.name
+                elif child.name == "__init__":
+                    called, label = cls.name, cls.name
+                else:
+                    called, label = child.name, f"{cls.name}.{child.name}"
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((called, f"{label}.{arg.arg}", i, arg.arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((called, f"{label}.{arg.arg}", None, arg.arg))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def unpassed_defaults(package: dict[str, str], others: list[str]) -> list[str]:
+    """'module.function.parameter' for each defaulted parameter of the package
+    that no call in the package or the other sources passes, by position or
+    by keyword. Calls match by name; `*args` and `**kwargs` pass everything."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    calls: dict[str, list[tuple[float, set[str | None]]]] = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                npos = float("inf") if starred else len(node.args)
+                calls.setdefault(name, []).append((npos, {k.arg for k in node.keywords}))
+    out = []
+    for mod, tree in trees.items():
+        for called, label, pos, param in _defaulted_parameters(tree):
+            passed = any(
+                (pos is not None and npos > pos) or param in kws or None in kws
+                for npos, kws in calls.get(called, [])
+            )
+            if not passed:
+                out.append(f"{mod}.{label}")
+    return out
+
+
 def test_checker_flags_an_unused_import():
     src = "from math import gcd, isqrt\nimport os.path\n\nprint(gcd(4, 6))\n"
     assert unused_imports(src) == ["isqrt (line 1)", "os (line 2)"]
@@ -100,6 +162,21 @@ def test_checker_flags_an_unreferenced_private_name():
     assert unreferenced_privates({"a": a, "b": b}, [tests]) == ["a._SEEN", "a._rec"]
 
 
+def test_checker_flags_a_default_no_call_passes():
+    a = (
+        "def f(x, y=1, *, z=2):\n    return x\n\n"
+        "def g(n=0):\n    return n\n\n"
+        "class C:\n"
+        "    def __init__(self, size=3, mode='a'):\n        pass\n\n"
+        "    def run(self, fast=False):\n        pass\n\n"
+        "    @staticmethod\n"
+        "    def make(k=1):\n        pass\n"
+    )
+    b = "from .a import C, f, g\n\nf(1, 2)\nC(mode='b').run(True)\ng(**{})\n"
+    tests = "from pkg.a import C\n\nC.make()\n"
+    assert unpassed_defaults({"a": a, "b": b}, [tests]) == ["a.f.z", "a.C.size", "a.C.make.k"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -109,6 +186,13 @@ def test_every_private_name_is_referenced():
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unreferenced_privates(package, tests) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant posing as an option
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unpassed_defaults(package, tests) == []
 
 
 def test_runtime_does_not_import_sympy():
