@@ -160,7 +160,8 @@ def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> lis
     flags = bytearray([1]) * (hi - lo)
     for q in primes_in(2, isqrt(hi - 1) + 1):
         start = max(q * q, -(-lo // q) * q) - lo
-        flags[start::q] = bytes(len(range(start, hi - lo, q)))
+        if start < hi - lo:  # most base primes miss a short, far window
+            flags[start::q] = bytes(len(range(start, hi - lo, q)))
     ps = compress(range(lo, hi), flags)
     if residue is None:
         return list(ps)

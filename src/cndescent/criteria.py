@@ -178,6 +178,17 @@ class ProfileClassification:
     w_phi: frozenset[str]  # passing classes + "1"; always a group
     sha_phi_complement: frozenset[str]  # canonical certified complement
 
+    def __repr__(self) -> str:
+        # the label sets print in LABELS order, not the string hash's
+        def labels(s: frozenset[str]) -> str:
+            return f"frozenset({{{', '.join(repr(c) for c in LABELS if c in s)}}})"
+
+        return (
+            f"ProfileClassification(profile={self.profile!r}, "
+            f"sha_psi_dim={self.sha_psi_dim!r}, w_phi={labels(self.w_phi)}, "
+            f"sha_phi_complement={labels(self.sha_phi_complement)})"
+        )
+
     @property
     def sha_phi_dim(self) -> int:
         return len(self.sha_phi_complement).bit_length() - 1

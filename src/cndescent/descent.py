@@ -16,6 +16,7 @@ partner curve the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 
 from .arith import factor
@@ -178,33 +179,97 @@ def selmer_group(k: int, side: str) -> SquareClassGroup:
 # --- global points --------------------------------------------------------
 
 
+_SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# (q, offset of q's rows in the flat per-call row list)
+_SIEVE = tuple((q, sum(_SIEVE_MODULI[:i])) for i, q in enumerate(_SIEVE_MODULI))
+# (q, b1 mod q, b2 e^4 mod q) -> base pattern; at most sum(q^2) ~ 14.6k keys
+_patterns: dict[tuple[int, int, int], int] = {}
+
+
+@cache
+def _residues(q: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+    """The squares mod q, and each fourth power f mod q with the bits of
+    the j < q that have j^4 = f mod q."""
+    fourths: dict[int, int] = {}
+    for j in range(q):
+        fourths[j**4 % q] = fourths.get(j**4 % q, 0) | 1 << j
+    return frozenset(x * x % q for x in range(q)), tuple(fourths.items())
+
+
+def _square_pattern(q: int, a: int, c: int) -> int:
+    """Bit j (0 <= j < q) set when a j^4 + c is a square mod q."""
+    key = (q, a, c)
+    pattern = _patterns.get(key)
+    if pattern is None:
+        squares, fourths = _residues(q)
+        pattern = 0
+        for f, bits in fourths:
+            if (a * f + c) % q in squares:
+                pattern |= bits
+        _patterns[key] = pattern
+    return pattern
+
+
 def search_points(
     torsor: Torsor, height: int, stop_at_first: bool = False
 ) -> list[TorsorPoint]:
     """Primitive points with max(|M|, |e|) <= height, M, e >= 0.
 
-    The scan walks e upward and visits only the M interval where
-    b1 M^4 + b2 e^4 >= 0. That cuts the cost below height^2 only when b1
-    and b2 have opposite signs, as on psi torsors; every phi torsor has
-    b1, b2 > 0 and scans all (height + 1)^2 pairs.
+    A bit-array sieve, as in Stoll's ratpoints. For each e the candidate M
+    are the set bits of one Python int: the interval where
+    b1 M^4 + b2 e^4 >= 0, ANDed for each q in _SIEVE_MODULI (64, 9, then
+    the primes 5 to 47) with a row whose bit M is set when b1 M^4 + b2 e^4
+    is a square mod q. A square is a square mod every q, so the sieve
+    drops no point; gcd, sign and isqrt then decide each surviving bit.
+
+    Order: e ascending, then M ascending (bits low to high), the order of
+    a plain scan, so stop_at_first returns the first point of that order.
+
+    Memory: a row depends on e only through b2 e^4 mod q, so a call builds
+    at most sum(q) = 396 rows of height + 1 bits, lazily: about
+    396 (height + 1) / 8 bytes, 5 MB at height 10^5. Each row repeats a
+    length-q base pattern, cached across calls by (q, b1 mod q,
+    b2 e^4 mod q): at most sum(q^2) ~ 14.6k small ints.
     """
     b1, b2 = torsor.b1, torsor.b2
     found: list[TorsorPoint] = []
     if b1 < 0 and b2 < 0:
         return found
-    for e in range(height + 1):
+    n_bits = height + 1
+    rows: list[int | None] = [None] * sum(_SIEVE_MODULI)
+    for e in range(n_bits):
+        c = b2 * e**4
         # M bounds from exact fourth roots; m_lo may sit one below the
-        # first M with b1 M^4 + b2 e^4 >= 0, which the t < 0 test skips
+        # first M with b1 M^4 + c >= 0, which the t < 0 test skips
         if b1 > 0:
-            m_lo = 0 if b2 >= 0 else isqrt(isqrt(-b2 * e**4 // b1))
+            m_lo = 0 if b2 >= 0 else isqrt(isqrt(-c // b1))
             m_hi = height
         else:
             m_lo = 0
-            m_hi = min(height, isqrt(isqrt(b2 * e**4 // -b1)))
-        for m in range(m_lo, m_hi + 1):
+            m_hi = min(height, isqrt(isqrt(c // -b1)))
+        if m_lo > m_hi:
+            break  # only m_lo can pass m_hi, and it grows with e
+        mask = (1 << (m_hi + 1)) - (1 << m_lo)
+        for q, offset in _SIEVE:
+            i = offset + c % q
+            row = rows[i]
+            if row is None:
+                row = _square_pattern(q, b1 % q, c % q)
+                width = q
+                while width < n_bits:
+                    row |= row << width
+                    width *= 2
+                rows[i] = row
+            mask &= row
+            if not mask:
+                break
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            m = low.bit_length() - 1
             if gcd(m, e) != 1:
                 continue
-            t = b1 * m**4 + b2 * e**4
+            t = b1 * m**4 + c
             if t < 0:
                 continue
             n = isqrt(t)

@@ -54,6 +54,7 @@ from cndescent.survey import (
     run_survey,
     smallest_example,
 )
+from test_descent import reference_search_points
 
 
 def test_grid_examples_match_printed_profiles():
@@ -198,14 +199,18 @@ def test_witness_coherence_sweep():
     """Every point of height at most 1000 on the psi-torsor of p, over all
     admissible ordered pairs with both primes = 1 mod 8 below 500, passes
     all of its residue-symbol consequences: the case decomposition, the
-    square-pair relations, and the predicted symbol value."""
+    square-pair relations, and the predicted symbol value. The sieve finds
+    the scan oracle's points on each torsor, in the same order."""
     ps = primes_in(17, 500, residue=1, mod=8)
     n_points = 0
     for p in ps:
         for l in ps:
             if p == l or jacobi(p, l) != 1:
                 continue
-            for pt in search_points(Torsor(PSI, p, -p * l * l), 1000):
+            torsor = Torsor(PSI, p, -p * l * l)
+            pts = search_points(torsor, 1000)
+            assert pts == reference_search_points(torsor, 1000), (p, l)
+            for pt in pts:
                 n_points += 1
                 rep = check_witness(p, l, pt)
                 assert rep.ok, (p, l, pt, rep)

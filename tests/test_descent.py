@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import cndescent
 from cndescent import descent
+from cndescent.arith import factor
 from cndescent.descent import (
     PHI,
     PSI,
@@ -256,11 +257,41 @@ def test_search_respects_primitivity():
         assert gcd(pt.M, pt.e) == 1
 
 
+def reference_search_points(torsor, height, stop_at_first=False):
+    """Scan oracle for search_points: every (M, e) in the interval where
+    b1 M^4 + b2 e^4 >= 0, e ascending, then M ascending."""
+    b1, b2 = torsor.b1, torsor.b2
+    found = []
+    if b1 < 0 and b2 < 0:
+        return found
+    for e in range(height + 1):
+        # M bounds from exact fourth roots; m_lo may sit one below the
+        # first M with b1 M^4 + b2 e^4 >= 0, which the t < 0 test skips
+        if b1 > 0:
+            m_lo = 0 if b2 >= 0 else isqrt(isqrt(-b2 * e**4 // b1))
+            m_hi = height
+        else:
+            m_lo = 0
+            m_hi = min(height, isqrt(isqrt(b2 * e**4 // -b1)))
+        for m in range(m_lo, m_hi + 1):
+            if gcd(m, e) != 1:
+                continue
+            t = b1 * m**4 + b2 * e**4
+            if t < 0:
+                continue
+            n = isqrt(t)
+            if n * n == t:
+                found.append(TorsorPoint(n, m, e))
+                if stop_at_first:
+                    return found
+    return found
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     b1=st.integers(min_value=-40, max_value=40).filter(lambda n: n != 0),
     b2=st.integers(min_value=-3000, max_value=3000).filter(lambda n: n != 0),
-    height=st.integers(min_value=0, max_value=25),
+    height=st.integers(min_value=0, max_value=60),
 )
 # N = 0 points sit exactly on the M bounds: (0, 2, 1) on both torsors
 @example(b1=1, b2=-16, height=3)
@@ -276,7 +307,43 @@ def test_search_matches_brute_force(b1, b2, height):
         and (t := b1 * m**4 + b2 * e**4) >= 0
         and isqrt(t) ** 2 == t
     ]
-    assert search_points(Torsor(PSI, b1, b2), height) == expected
+    t = Torsor(PSI, b1, b2)
+    assert reference_search_points(t, height) == expected  # the cut drops none
+    assert search_points(t, height) == expected
+    assert search_points(t, height, stop_at_first=True) == expected[:1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b1=st.integers(min_value=1, max_value=200),
+    b2=st.integers(min_value=1, max_value=20000),
+    height=st.integers(min_value=0, max_value=60),
+)
+@example(b1=17, b2=272, height=5)  # (17, 1, 1)
+@example(b1=1, b2=1, height=60)  # only the points with M e = 0
+def test_search_matches_brute_force_without_interval_cut(b1, b2, height):
+    # phi-like torsors: b1, b2 > 0, so every M in [0, height] is a candidate
+    t = Torsor(PHI, b1, b2)
+    expected = reference_search_points(t, height)
+    assert search_points(t, height) == expected
+    assert search_points(t, height, stop_at_first=True) == expected[:1]
+
+
+def test_search_matches_reference_on_selmer_torsors():
+    """Every torsor descend may search: both Selmer groups of each
+    squarefree k < 300, full point lists with their order, at height 120."""
+    n_points = 0
+    for k in range(1, 300):
+        if factor(k).squarefree_part() != k:
+            continue
+        for side in (PSI, PHI):
+            const = _torsor_constant(k, side)
+            for b1 in selmer_group(k, side):
+                t = Torsor(side, b1, const // b1)
+                pts = search_points(t, 120)
+                assert pts == reference_search_points(t, 120), (k, side, b1)
+                n_points += len(pts)
+    assert n_points >= 1000  # the sweep must actually exercise points
 
 
 # --- full descent -------------------------------------------------------------
@@ -380,6 +447,16 @@ def test_hard_inputs_finish_in_bounded_memory():
         "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
         "BadResidueClass", "BadResidueClass",
     ]
+
+
+def test_profile_classification_repr_does_not_follow_the_string_hash():
+    # w_phi and sha_phi_complement are frozensets of labels
+    code = (
+        "from cndescent.criteria import classify_profile, residue_profile\n"
+        "print(repr(classify_profile(residue_profile(17, 89))))"
+    )
+    outs = {_run_child(code, PYTHONHASHSEED=str(seed)) for seed in range(4)}
+    assert len(outs) == 1
 
 
 def test_report_repr_does_not_follow_the_string_hash():
