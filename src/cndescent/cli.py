@@ -1,8 +1,10 @@
 """Command-line front end: descent reports, residue profiles, the reference
 grid, family surveys, and the full regression suite.
 
-Exit codes: 0 success, 1 computation failed (bad pair, budget exhausted,
-a verification mismatch), 2 usage error.
+Each `_cmd_*` returns (exit code, JSON value, text); `main` prints the
+JSON under --json and the text otherwise. Exit codes: 0 success, 1
+computation failed (bad pair, budget exhausted, a verification mismatch),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .criteria import residue_profile
 from .descent import descend, selmer_group
@@ -53,46 +56,38 @@ def _render_classify(rep) -> str:
     return "\n".join(lines)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     rep = descend(args.k, height=args.height)
-    if args.json:
-        print(json.dumps(rep.to_json()))
-    else:
-        print(_render_classify(rep))
-    return 0
+    return 0, rep.to_json(), _render_classify(rep)
 
 
-def _cmd_selmer(args) -> int:
+def _cmd_selmer(args):
     psi = selmer_group(args.k, "psi")
     phi = selmer_group(args.k, "phi")
-    if args.json:
-        print(json.dumps({
-            "k": args.k,
-            "selmer_psi": list(psi),
-            "selmer_phi": list(phi),
-        }))
-    else:
-        print(f"k = {args.k}")
-        print(f"selmer psi: {psi.describe()} (dimension {psi.dim})")
-        print(f"selmer phi: {phi.describe()} (dimension {phi.dim})")
-    return 0
+    value = {"k": args.k, "selmer_psi": list(psi), "selmer_phi": list(phi)}
+    text = (
+        f"k = {args.k}\n"
+        f"selmer psi: {psi.describe()} (dimension {psi.dim})\n"
+        f"selmer phi: {phi.describe()} (dimension {phi.dim})"
+    )
+    return 0, value, text
 
 
-def _cmd_profile(args) -> int:
+def _signs(profile) -> str:
+    return " ".join("+" if s == 1 else "-" for s in profile)
+
+
+def _cmd_profile(args):
     pr = residue_profile(args.p, args.l)
-    if args.json:
-        print(json.dumps({"p": args.p, "l": args.l, "profile": list(pr)}))
-    else:
-        print(" ".join("+" if s == 1 else "-" for s in pr))
-    return 0
+    return 0, {"p": args.p, "l": args.l, "profile": list(pr)}, _signs(pr)
 
 
 def _fmt_gens(gens) -> str:
     return "<" + ", ".join(gens) + ">" if gens else "1"
 
 
-def _cmd_grid(args) -> int:
-    rows_out = []
+def _cmd_grid(args):
+    entries, lines = [], []
     all_ok = True
     for i, row in enumerate(REFERENCE_GRID, start=1):
         entry = {
@@ -104,29 +99,22 @@ def _cmd_grid(args) -> int:
             "w_phi": list(row.w_phi),
             "example": list(row.example),
         }
+        tail = ""
         if args.verify:
             ok = all(c.passed for c in check_grid_row(i, row))
             entry["verified"] = ok
             all_ok = all_ok and ok
-        rows_out.append(entry)
-    if args.json:
-        print(json.dumps(rows_out))
-    else:
-        for e in rows_out:
-            signs = " ".join("+" if s == 1 else "-" for s in e["profile"])
-            tail = ""
-            if args.verify:
-                tail = "  ok" if e["verified"] else "  MISMATCH"
-            print(
-                f"{e['row']:2d}  {signs}  sha_psi={_fmt_gens(e['sha_psi'])}"
-                f"  sha_phi={_fmt_gens(e['sha_phi'])}  rank<={e['rank_bound']}"
-                f"  W={_fmt_gens(e['w_phi'])}"
-                f"  example=({e['example'][0]}, {e['example'][1]}){tail}"
-            )
-    return 0 if all_ok else 1
+            tail = "  ok" if ok else "  MISMATCH"
+        entries.append(entry)
+        lines.append(
+            f"{i:2d}  {_signs(row.profile)}  sha_psi={_fmt_gens(row.sha_psi)}"
+            f"  sha_phi={_fmt_gens(row.sha_phi)}  rank<={row.rank_bound}"
+            f"  W={_fmt_gens(row.w_phi)}  example={row.example}{tail}"
+        )
+    return 0 if all_ok else 1, entries, "\n".join(lines)
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args):
     spec = FamilySpec(
         bound=args.bound,
         residues=args.residues,
@@ -138,25 +126,14 @@ def _cmd_survey(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"{summary.total} rows -> {args.out}")
-    else:
-        print(text, end="")
-    return 0
+        return 0, None, f"{summary.total} rows -> {args.out}"
+    return 0, None, text.removesuffix("\n")  # main adds it back
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = verify_reference()
-    if args.json:
-        print(json.dumps({
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }))
-    else:
-        print(report.render())
-    return 0 if report.passed else 1
+    value = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
+    return 0 if report.passed else 1, value, report.render()
 
 
 def _at_least(low: int):
@@ -187,32 +164,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "Selmer groups, certified Tate-Shafarevich classes, rank bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cmd = {}
+    for name, fn, summary in (
+        ("classify", _cmd_classify, "full descent report for one k"),
+        ("selmer", _cmd_selmer, "Selmer groups of both isogeny directions"),
+        ("profile", _cmd_profile, "five residue symbols of an admissible pair"),
+        ("grid", _cmd_grid, "print the 32-row reference grid"),
+        ("survey", _cmd_survey, "classify a whole family, NDJSON output"),
+        ("verify", _cmd_verify, "recompute all reference tables"),
+    ):
+        cmd[name] = sub.add_parser(name, help=summary)
+        cmd[name].set_defaults(fn=fn)
 
-    p = sub.add_parser("classify", help="full descent report for one k")
+    p = cmd["classify"]
     p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--height", type=_at_least(0), default=1000,
                    help="point search bound (default 1000)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("selmer", help="Selmer groups of both isogeny directions")
-    p.add_argument("--k", type=_at_least(1), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_selmer)
+    cmd["selmer"].add_argument("--k", type=_at_least(1), required=True)
 
-    p = sub.add_parser("profile", help="five residue symbols of an admissible pair")
+    p = cmd["profile"]
     p.add_argument("--p", type=_at_least(3), required=True)
     p.add_argument("--l", type=_at_least(3), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_profile)
 
-    p = sub.add_parser("grid", help="print the 32-row reference grid")
-    p.add_argument("--verify", action="store_true",
-                   help="recompute each row and flag mismatches")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_grid)
+    cmd["grid"].add_argument("--verify", action="store_true",
+                             help="recompute each row and flag mismatches")
 
-    p = sub.add_parser("survey", help="classify a whole family, NDJSON output")
+    p = cmd["survey"]
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--residues", type=_residues, help="p and l mod 8, e.g. 1,1")
     group.add_argument("--two-p", action="store_true", dest="two_p")
@@ -225,11 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write NDJSON here instead of stdout")
     p.add_argument("--json", action="store_true",
                    help="accepted for symmetry; output is already NDJSON")
-    p.set_defaults(fn=_cmd_survey)
 
-    p = sub.add_parser("verify", help="recompute all reference tables")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
+    for name in ("classify", "selmer", "profile", "grid", "verify"):
+        cmd[name].add_argument("--json", action="store_true")
 
     return parser
 
@@ -241,13 +217,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.fn(args)
+        code, value, text = args.fn(args)
     except DescentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(value) if args.json and value is not None else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -237,21 +237,34 @@ _ONE = SquareClassGroup.trivial()
 
 @dataclass(frozen=True)
 class Classification:
-    """Everything the residue criteria can say about one k."""
+    """Everything the residue criteria can say about k = pl (or 2p when l
+    is None); the rank bound is that of selmer_rank_bound."""
 
     family: str
-    k: int
-    p: int | None
+    p: int
     l: int | None
-    profile: ResidueProfile | None
     selmer_psi: SquareClassGroup
     selmer_phi: SquareClassGroup
-    sha_psi: SquareClassGroup
-    sha_phi: SquareClassGroup
-    w_phi: SquareClassGroup
-    rank_bound: int
-    sha2_dim: int | None
+    sha_psi: SquareClassGroup = _ONE
+    sha_phi: SquareClassGroup = _ONE
+    w_phi: SquareClassGroup = _ONE
+    profile: ResidueProfile | None = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def k(self) -> int:
+        return 2 * self.p if self.l is None else self.p * self.l
+
+    def _bound(self) -> tuple[int, int | None]:
+        return selmer_rank_bound(self.selmer_psi, self.selmer_phi, self.sha_psi, self.sha_phi)
+
+    @property
+    def rank_bound(self) -> int:
+        return self._bound()[0]
+
+    @property
+    def sha2_dim(self) -> int | None:
+        return self._bound()[1]
 
     @property
     def noncongruent(self) -> bool:
@@ -276,43 +289,11 @@ def selmer_rank_bound(
     return bound, (sha_dim if bound == 0 else None)
 
 
-def _classification(
-    family: str,
-    p: int,
-    l: int | None,
-    selmer_psi: SquareClassGroup,
-    selmer_phi: SquareClassGroup,
-    sha_psi: SquareClassGroup = _ONE,
-    sha_phi: SquareClassGroup = _ONE,
-    w_phi: SquareClassGroup = _ONE,
-    profile: ResidueProfile | None = None,
-    notes: tuple[str, ...] = (),
-) -> Classification:
-    """The one builder: k = pl (or 2p when l is None), with the rank bound
-    of selmer_rank_bound."""
-    rank_bound, sha2_dim = selmer_rank_bound(selmer_psi, selmer_phi, sha_psi, sha_phi)
-    return Classification(
-        family=family,
-        k=2 * p if l is None else p * l,
-        p=p,
-        l=l,
-        profile=profile,
-        selmer_psi=selmer_psi,
-        selmer_phi=selmer_phi,
-        sha_psi=sha_psi,
-        sha_phi=sha_phi,
-        w_phi=w_phi,
-        rank_bound=rank_bound,
-        sha2_dim=sha2_dim,
-        notes=notes,
-    )
-
-
 def classify_11_plus(p: int, l: int) -> Classification:
     """k = pl, p = l = 1 mod 8, (p/l) = +1: the 32-profile grid."""
     profile = residue_profile(p, l)
     pc = classify_profile(profile)
-    return _classification(
+    return Classification(
         "pl-1mod8-plus",
         p,
         l,
@@ -343,7 +324,7 @@ def classify_11_minus(p: int, l: int) -> Classification:
     s_phi = SquareClassGroup.span(2, k)
     cp, cl = octic_minus4(p), octic_minus4(l)
     obstructed = cp * cl == -1
-    return _classification(
+    return Classification(
         "pl-1mod8-minus",
         p,
         l,
@@ -365,7 +346,7 @@ def classify_2p(p: int) -> Classification:
         raise FamilyMismatch(f"classify_2p needs a prime = 1 mod 8, got {p}")
     s_phi = SquareClassGroup.span(p)
     obstructed = p % 16 == 9
-    return _classification(
+    return Classification(
         "2p",
         p,
         None,
@@ -421,7 +402,7 @@ def classify_small_residues(p: int, l: int) -> Classification:
         )
     k = p * l
     if r == 3:
-        return _classification("pl-3mod8", p, l, SquareClassGroup.span(-1, k), _ONE)
+        return Classification("pl-3mod8", p, l, SquareClassGroup.span(-1, k), _ONE)
     if r == 5:
         if jacobi(p, l) == 1:
             s_phi = SquareClassGroup.span(p, l)
@@ -433,7 +414,7 @@ def classify_small_residues(p: int, l: int) -> Classification:
             sym = _gauss_unit_symbol(p, l)
             obstructed = sym == -1
             note = f"criterion: [(1+i)pi/lambda] = {sym:+d} at the pinned pi"
-        return _classification(
+        return Classification(
             "pl-5mod8",
             p,
             l,
@@ -452,7 +433,7 @@ def classify_small_residues(p: int, l: int) -> Classification:
     cap_pi = primary_associate(split_prime(p, SQRT2))
     sym = ring_symbol(lam, cap_pi)
     obstructed = sym == -1
-    return _classification(
+    return Classification(
         "pl-7mod8",
         p,
         l,

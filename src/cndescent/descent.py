@@ -182,8 +182,6 @@ def selmer_group(k: int, side: str) -> SquareClassGroup:
 _SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # (q, offset of q's rows in the flat per-call row list)
 _SIEVE = tuple((q, sum(_SIEVE_MODULI[:i])) for i, q in enumerate(_SIEVE_MODULI))
-# (q, b1 mod q, b2 e^4 mod q) -> base pattern; at most sum(q^2) ~ 14.6k keys
-_patterns: dict[tuple[int, int, int], int] = {}
 
 
 @cache
@@ -196,17 +194,15 @@ def _residues(q: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
     return frozenset(x * x % q for x in range(q)), tuple(fourths.items())
 
 
+@cache
 def _square_pattern(q: int, a: int, c: int) -> int:
-    """Bit j (0 <= j < q) set when a j^4 + c is a square mod q."""
-    key = (q, a, c)
-    pattern = _patterns.get(key)
-    if pattern is None:
-        squares, fourths = _residues(q)
-        pattern = 0
-        for f, bits in fourths:
-            if (a * f + c) % q in squares:
-                pattern |= bits
-        _patterns[key] = pattern
+    """Bit j (0 <= j < q) set when a j^4 + c is a square mod q. Called with
+    a = b1 mod q and c = b2 e^4 mod q, so at most sum(q^2) ~ 14.6k entries."""
+    squares, fourths = _residues(q)
+    pattern = 0
+    for f, bits in fourths:
+        if (a * f + c) % q in squares:
+            pattern |= bits
     return pattern
 
 

@@ -26,10 +26,6 @@ class BadResidueClass(DescentError):
     """Argument lies outside the residue class the operation needs."""
 
 
-class FactorBudgetExceeded(DescentError):
-    """Factoring gave up within the configured effort bound."""
-
-
 class Inert(DescentError):
     """Prime does not split in the requested quadratic ring."""
 
@@ -64,6 +60,10 @@ class HypothesisViolated(DescentError):
 
 class BudgetExceeded(DescentError):
     """Bounded search exhausted without a conclusive answer."""
+
+
+class FactorBudgetExceeded(BudgetExceeded):
+    """Factoring gave up within the configured effort bound."""
 
 
 class PreconditionUnmet(DescentError):

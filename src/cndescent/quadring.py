@@ -110,21 +110,15 @@ def _euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
 def split_prime(p: int, ring: Ring) -> QuadInt:
     """An element of norm +p (Z[i], Z[sqrt-2]) or +-p (Z[sqrt2]).
 
-    Raises Inert when p lies outside the split residue classes:
-    p = 1 mod 4 for Z[i], p = +-1 mod 8 for Z[sqrt2], p = 1 or 3 mod 8
-    for Z[sqrt-2].
+    Raises Inert unless p is odd and omega^2 is a square mod p, that is
+    outside the split residue classes: p = 1 mod 4 for Z[i], p = +-1 mod 8
+    for Z[sqrt2], p = 1 or 3 mod 8 for Z[sqrt-2].
     """
     if not is_prime(p):
         raise BadResidueClass(f"split_prime needs a prime, got {p}")
-    ok = {
-        GAUSS: p % 4 == 1,
-        SQRT2: p % 8 in (1, 7),
-        SQRTM2: p % 8 in (1, 3),
-    }[ring]
-    if not ok:
+    r = None if p == 2 else sqrt_mod_prime(ring.omega2, p)
+    if r is None:
         raise Inert(f"{p} does not split in {ring}")
-    # the residue classes above are those where omega^2 is a square mod p
-    r = sqrt_mod_prime(ring.omega2, p)
     g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
     if abs(g.norm) == p:
         return g

@@ -26,6 +26,7 @@ from cndescent.arith import (
 )
 from cndescent.errors import (
     BadResidueClass,
+    BudgetExceeded,
     FactorBudgetExceeded,
     NonOddModulus,
     NotCoprime,
@@ -238,6 +239,8 @@ def test_factor_budget():
     assert _FACTOR_LIMIT == 10**18
     with pytest.raises(FactorBudgetExceeded):
         factor(10**19 + 1)
+    with pytest.raises(BudgetExceeded):  # one budget type for every caller
+        factor(10**18 + 1)
     assert factor(_FACTOR_LIMIT).factors == ((2, 18), (5, 18))
     assert factor(-_FACTOR_LIMIT).sign == -1
     for n in (_FACTOR_LIMIT + 1, -_FACTOR_LIMIT - 1):

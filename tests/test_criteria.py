@@ -267,6 +267,7 @@ def test_classify_auto_dispatch():
     assert classify_auto(12) is None  # not squarefree
     assert classify_auto(17) is None  # single prime
     assert classify_auto(-65) is None
+    assert classify_auto(15) is None  # 3 and 5 mod 8
 
 
 def sample_family_inputs():

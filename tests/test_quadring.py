@@ -49,7 +49,7 @@ def test_conjugation_is_multiplicative(x, y):
 
 
 def test_split_prime_small_exhaustive_agreement():
-    for p in primes_in(3, 2000):
+    for p in primes_in(2, 2000):
         for ring in RINGS:
             admissible = {
                 GAUSS: p % 4 == 1,
