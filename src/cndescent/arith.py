@@ -84,17 +84,12 @@ def quartic_symbol_product(a: int, n: int) -> int:
 def octic_minus4(p: int) -> int:
     """Octic character (-4/p)_8 = (-4)^((p-1)/8) mod p for p = 1 mod 8.
 
-    -4 is a fourth power mod p (it is (1+i)^4 up to units), so the value
-    is always +1 or -1.
+    For such p, i exists mod p and -4 = (1+i)^4, so the value squares to
+    (1+i)^(p-1) = 1 and is always +1 or -1.
     """
     if p % 8 != 1 or not is_prime(p):
         raise BadResidueClass(f"octic character needs a prime = 1 mod 8, got {p}")
-    r = pow(-4 % p, (p - 1) // 8, p)
-    if r == 1:
-        return 1
-    if r == p - 1:
-        return -1
-    raise UndefinedSymbol(f"(-4/{p})_8 landed outside +-1; {p} is not prime")
+    return 1 if pow(-4 % p, (p - 1) // 8, p) == 1 else -1
 
 
 def octic_minus4_product(n: int) -> int:

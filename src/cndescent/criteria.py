@@ -207,21 +207,14 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
         raise InconsistentCriteria(
             f"phi pass set {sorted(passing)} is not a group for {profile}"
         )
-    failing = [c for c in PHI_CLASSES if c not in w]
-    # canonical complement: greedy over failing classes in the fixed order
+    # canonical complement: extend a basis of w in the fixed class order;
+    # covered = span(w, comp) ends as the whole group
     comp: frozenset[str] = frozenset({"1"})
-    target = 8 // len(w)
-    for c in failing:
-        cand = label_span(comp | {c})
-        if all(x == "1" or x in failing for x in cand):
-            comp = cand
-            if len(comp) == target:
-                break
-    if len(comp) != target:
-        raise InconsistentCriteria(
-            f"no certified complement of dimension {target.bit_length() - 1} "
-            f"for {profile}"
-        )
+    covered = w
+    for c in PHI_CLASSES:
+        if c not in covered:
+            comp = label_span(comp | {c})
+            covered = label_span(covered | {c})
     return ProfileClassification(
         profile=profile,
         sha_psi_dim=1 if psi_obstructed(profile) else 0,

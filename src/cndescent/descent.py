@@ -93,12 +93,6 @@ def _is_power_residue(u: int, n: int, q: int) -> bool:
     return pow(u, (q - 1) // gcd(n, q - 1), q) == 1
 
 
-def _is_2adic_square(t: int) -> bool:
-    """Is the nonzero integer t a square in Q_2?"""
-    v = (t & -t).bit_length() - 1
-    return v % 2 == 0 and (t >> v) % 8 == 1
-
-
 def solvable_at(b1: int, b2: int, q: int) -> bool:
     """Solvability of N^2 = b1 M^4 + b2 e^4 over Q_q (primitive M, e).
 
@@ -116,15 +110,20 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
     no F_q point at infinity, so Hasse gives it (sqrt(q) - 1)^2 > 0 affine
     F_q points, and each lifts.
 
-    q = 2. If a = b and u1 + u2 = 0 mod 16, -b2/b1 lies in
-    1 + 16 Z_2 = (Z_2^x)^4, a point with N = 0; an N = 0 point forces
-    exactly this. Otherwise v(t) <= a + 3: for a < b, t/2^a is odd when M
-    is odd and has valuation b - a <= 3 when M is even; for a = b, t/2^a
-    is odd unless M and e both are, and then t/2^a = u1 + u2 != 0 mod 16.
-    A t of valuation w is a square iff w is even and t/2^w = 1 mod 8, so
-    t mod 2^(a+6) decides. As (M + 16j)^4 = M^4 mod 64 and a <= b, (M, e)
-    mod 16 fixes t mod 2^(a+6), and the pairs below 16 with M or e odd
-    cover every primitive class.
+    q = 2. The lowering leaves a <= 1; let s = u1 + 2^(b-a) u2 mod 16. Three
+    facts decide it: a t of valuation w is a square in Q_2 iff w is even and
+    t/2^w = 1 mod 8; odd fourth powers are 1 + 16 Z_2, so 1 + 16x mod 64 for
+    every x; even fourth powers are 0 mod 16. M odd: if e is even, t/2^a =
+    u1 mod 8; if e is odd, t/2^a = s mod 8. Either is odd unless a = b and e
+    is odd (then s is even and the last case decides), so a must be 0 and u1
+    or s be 1 mod 8. M = 2m even, e odd: t = 2^b (u2 e^4 + 2^(a+4-b) u1 m^4)
+    with a + 4 - b >= 1, so b must be even and u2 (m even) or u2 + 2^(a+4-b)
+    u1 (m odd) be 1 mod 8. M and e odd, a = b: t/2^a runs over s + 16 Z_2 as
+    M^4 and e^4 run over 1 + 16 Z_2. s = 0 gives t = 0, a point with N = 0.
+    Otherwise w = v(s) is 1, 2 or 3 and t/2^(a+w) is s/2^w + 2^(4-w) z for
+    free z: fixed mod 8 for w = 1, any unit of its class mod 4 for w = 2,
+    any unit for w = 3. So a + w even leaves s = 4 for a = 0 and s = 2 or 8
+    for a = 1.
 
     Raises BadResidueClass when b1 or b2 is 0, as locally_solvable does.
     """
@@ -138,13 +137,11 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
     if a > b:
         a, b, u1, u2 = b, a, u2, u1
     if q == 2:
-        if a == b and (u1 + u2) % 16 == 0:
-            return True
-        return any(
-            _is_2adic_square((u1 << a) * m**4 + (u2 << b) * e**4)
-            for m in range(16)
-            for e in range(16)
-            if (m | e) & 1
+        s = (u1 + (u2 << (b - a))) % 16
+        return (
+            (a == 0 and 1 in (u1 % 8, s % 8))
+            or (b % 2 == 0 and 1 in (u2 % 8, (u2 + (u1 << (a + 4 - b))) % 8))
+            or (a == b and s in ((0, 4), (0, 2, 8))[a])
         )
     if a == b:
         return a == 0 or _is_power_residue(-u2 * pow(u1, -1, q), 4, q)

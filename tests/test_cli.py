@@ -43,6 +43,10 @@ def test_classify_text_report(capsys):
     assert "family: 2p" in out
     assert "rank bounds: 2 <= rank <= 2" in out
     assert "no (positive rank witnessed)" in out
+    code, out = run(capsys, ["classify", "--k", "157", "--height", "20"])
+    assert code == 0
+    assert "rank bounds: 0 <= rank <= 1" in out
+    assert "noncongruent: undecided" in out
 
 
 def test_classify_degrades_without_family(capsys):

@@ -1,5 +1,6 @@
 """Local solvability, Selmer groups, point search, and the full descent."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cndescent
-from cndescent import descent
+from cndescent import cli, descent
 from cndescent.arith import factor
 from cndescent.descent import (
     PHI,
@@ -185,6 +186,54 @@ def test_solvable_at_matches_residue_search_on_valuations(q):
             assert solvable_at(b1, b2, q) == reference_solvable_at(b1, b2, q), (
                 b1, b2, q,
             )
+
+
+def _is_2adic_square(t):
+    """Is the nonzero integer t a square in Q_2?"""
+    v = (t & -t).bit_length() - 1
+    return v % 2 == 0 and (t >> v) % 8 == 1
+
+
+def reference_solvable_at_2(b1, b2):
+    """Pair-search oracle for solvable_at at q = 2.
+
+    Normalise as solvable_at does (a, b mod 4, both lowered by 2 when both
+    are >= 2, a <= b). If a = b and u1 + u2 = 0 mod 16, -b2/b1 is a 2-adic
+    fourth power: a point with N = 0. Otherwise v(t) <= a + 3, so t mod
+    2^(a+6) decides whether t is a square; (M, e) mod 16 fixes it, as
+    (M + 16j)^4 = M^4 mod 64, and the 192 pairs below 16 with M or e odd
+    cover every primitive class.
+    """
+    a = (b1 & -b1).bit_length() - 1
+    b = (b2 & -b2).bit_length() - 1
+    u1, u2 = b1 >> a, b2 >> b
+    a, b = a % 4, b % 4
+    if a >= 2 and b >= 2:
+        a, b = a - 2, b - 2
+    if a > b:
+        a, b, u1, u2 = b, a, u2, u1
+    if a == b and (u1 + u2) % 16 == 0:
+        return True
+    return any(
+        _is_2adic_square((u1 << a) * m**4 + (u2 << b) * e**4)
+        for m in range(16)
+        for e in range(16)
+        if (m | e) & 1
+    )
+
+
+def test_solvable_at_2_matches_pair_search():
+    # every valuation pair 0..3 and every odd unit part pair 1..63 (the
+    # pair search sees the unit parts only mod 64)
+    units = range(1, 64, 2)
+    for a in range(4):
+        for b in range(4):
+            for u1 in units:
+                for u2 in units:
+                    b1, b2 = u1 << a, u2 << b
+                    assert solvable_at(b1, b2, 2) == reference_solvable_at_2(
+                        b1, b2
+                    ), (b1, b2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,6 +447,31 @@ def test_descend_enumerates_each_side_once(monkeypatch):
     monkeypatch.setattr(descent, "enumerate_torsors", counted)
     descend(30030, 50)
     assert sorted(calls) == [PHI, PSI]
+
+
+def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
+    # criteria that disagree with the computed Selmer groups: the mismatch
+    # is noted and a certificate outside the Selmer group is dropped
+    real = descent.classify_auto
+
+    def wrong(k):
+        return dataclasses.replace(
+            real(k),
+            selmer_phi=SquareClassGroup.span(2),
+            sha_psi=SquareClassGroup.span(3),
+        )
+
+    monkeypatch.setattr(descent, "classify_auto", wrong)
+    notes = (
+        "dropping psi obstruction certificate <3>: not inside the Selmer group",
+        "selmer mismatch on phi: computed <2, 41, 113>, criteria expected <2>",
+    )
+    rep = descend(4633, 50)
+    assert rep.notes == notes
+    assert rep.sha_psi_cert == SquareClassGroup.trivial()
+    assert cli.main(["classify", "--k", "4633", "--height", "50"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [f"note: {n}" for n in notes] == out[-2:]
 
 
 def test_descend_rejects_nonpositive():
