@@ -128,13 +128,6 @@ class FactoredInteger:
             v *= p**e
         return v
 
-    @property
-    def radical(self) -> int:
-        r = 1
-        for p, _ in self.factors:
-            r *= p
-        return r
-
     def squarefree_part(self) -> int:
         s = self.sign
         for p, e in self.factors:

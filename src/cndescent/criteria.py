@@ -282,16 +282,43 @@ def selmer_rank_bound(
     return bound, (sha_dim if bound == 0 else None)
 
 
+# The one statement of the pl families' Selmer groups, as generator labels
+# (psi side, phi side) keyed by (p mod 8, l mod 8, (p/l)); every pl
+# classifier reads its groups here. For p = l = 3 mod 4 the two orders of a
+# pair give opposite signs: (7,7) reads its row in the order with (p/l) = +1,
+# and the (3,3) row, symmetric in p and l, serves both orders.
+LAGRANGE_SELMER = {
+    (1, 1, 1): (("-1", "p", "l"), ("2", "p", "l")),
+    (1, 1, -1): (("-1", "pl"), ("2", "pl")),
+    (5, 5, 1): (("-1", "pl"), ("p", "l")),
+    (5, 5, -1): (("-1", "pl"), ("2p", "2l")),
+    (3, 3, -1): (("-1", "pl"), ()),
+    (7, 7, 1): (("-1", "p", "l"), ("2",)),
+}
+
+
+def _selmer(key: tuple[int, int, int], p: int, l: int) -> tuple[SquareClassGroup, SquareClassGroup]:
+    """The (psi, phi) Selmer groups of the family row `key` at p, l."""
+    psi, phi = LAGRANGE_SELMER[key]
+    return concretize(psi, p, l), concretize(phi, p, l)
+
+
+def _one_sign(family: str, p: int, l: int | None, selmer, obstructed: bool,
+              notes: tuple[str, ...], sha_psi: SquareClassGroup = _ONE) -> Classification:
+    """A family that one sign decides. Obstructed: sha_psi and all of
+    Sel^phi are certified Sha, and W^phi is trivial. Otherwise nothing is
+    certified and W^phi may be all of Sel^phi."""
+    sel_psi, sel_phi = selmer
+    certified = (sha_psi, sel_phi, _ONE) if obstructed else (_ONE, _ONE, sel_phi)
+    return Classification(family, p, l, sel_psi, sel_phi, *certified, notes=notes)
+
+
 def classify_11_plus(p: int, l: int) -> Classification:
     """k = pl, p = l = 1 mod 8, (p/l) = +1: the 32-profile grid."""
     profile = residue_profile(p, l)
     pc = classify_profile(profile)
     return Classification(
-        "pl-1mod8-plus",
-        p,
-        l,
-        SquareClassGroup.span(-1, p, l),
-        SquareClassGroup.span(2, p, l),
+        "pl-1mod8-plus", p, l, *_selmer((1, 1, 1), p, l),
         # Sha^psi is trivial or <p>: the classes <-1, pl> always have points
         sha_psi=SquareClassGroup.span(p) if pc.sha_psi_dim else _ONE,
         sha_phi=concretize(pc.sha_phi_complement, p, l),
@@ -313,23 +340,12 @@ def classify_11_minus(p: int, l: int) -> Classification:
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != -1:
         raise FamilyMismatch(f"classify_11_minus needs (p/l) = -1 for ({p}, {l})")
-    k = p * l
-    s_phi = SquareClassGroup.span(2, k)
     cp, cl = octic_minus4(p), octic_minus4(l)
-    obstructed = cp * cl == -1
-    return Classification(
-        "pl-1mod8-minus",
-        p,
-        l,
-        SquareClassGroup.span(-1, k),
-        s_phi,
-        sha_phi=s_phi if obstructed else _ONE,
-        w_phi=_ONE if obstructed else s_phi,
-        notes=(
-            f"class 2 and 2pl need (-4/p)8 = (-4/l)8; got {cp:+d}, {cl:+d}",
-            f"class pl needs (-4/pl)8 = +1; got {cp * cl:+d}",
-        ),
+    notes = (
+        f"class 2 and 2pl need (-4/p)8 = (-4/l)8; got {cp:+d}, {cl:+d}",
+        f"class pl needs (-4/pl)8 = +1; got {cp * cl:+d}",
     )
+    return _one_sign("pl-1mod8-minus", p, l, _selmer((1, 1, -1), p, l), cp * cl == -1, notes)
 
 
 def classify_2p(p: int) -> Classification:
@@ -339,17 +355,9 @@ def classify_2p(p: int) -> Classification:
         raise FamilyMismatch(f"classify_2p needs a prime = 1 mod 8, got {p}")
     s_phi = SquareClassGroup.span(p)
     obstructed = p % 16 == 9
-    return Classification(
-        "2p",
-        p,
-        None,
-        SquareClassGroup.span(-1, 2, p),
-        s_phi,
-        sha_psi=s_phi if obstructed else _ONE,
-        sha_phi=s_phi if obstructed else _ONE,
-        w_phi=_ONE if obstructed else s_phi,
-        notes=() if obstructed else (f"p = {p % 16} mod 16: no obstruction certificate",),
-    )
+    notes = () if obstructed else (f"p = {p % 16} mod 16: no obstruction certificate",)
+    selmer = (SquareClassGroup.span(-1, 2, p), s_phi)
+    return _one_sign("2p", p, None, selmer, obstructed, notes, sha_psi=s_phi)
 
 
 def _gauss_unit_symbol(p: int, l: int) -> int:
@@ -393,50 +401,29 @@ def classify_small_residues(p: int, l: int) -> Classification:
             f"classify_small_residues covers p = l = 3, 5, 7 mod 8; "
             f"got ({p % 8}, {l % 8})"
         )
-    k = p * l
     if r == 3:
-        return Classification("pl-3mod8", p, l, SquareClassGroup.span(-1, k), _ONE)
+        return Classification("pl-3mod8", p, l, *_selmer((3, 3, -1), p, l))
     if r == 5:
-        if jacobi(p, l) == 1:
-            s_phi = SquareClassGroup.span(p, l)
+        sign = jacobi(p, l)
+        if sign == 1:
             obstructed = quartic_symbol(p, l) != quartic_symbol(l, p)
             note = "criterion: (p/l)4 = (l/p)4 fails" if obstructed else \
                 "criterion: (p/l)4 = (l/p)4 holds; no certificate"
         else:
-            s_phi = SquareClassGroup.span(2 * p, 2 * l)
             sym = _gauss_unit_symbol(p, l)
             obstructed = sym == -1
             note = f"criterion: [(1+i)pi/lambda] = {sym:+d} at the pinned pi"
-        return Classification(
-            "pl-5mod8",
-            p,
-            l,
-            SquareClassGroup.span(-1, k),
-            s_phi,
-            sha_phi=s_phi if obstructed else _ONE,
-            w_phi=_ONE if obstructed else s_phi,
-            notes=(note,),
-        )
+        return _one_sign("pl-5mod8", p, l, _selmer((5, 5, sign), p, l), obstructed, (note,))
     # r == 7: order so that (p/l) = +1 (always possible: the two Legendre
     # symbols are opposite for p = l = 3 mod 4)
     if jacobi(p, l) != 1:
         p, l = l, p
-    s_phi = SquareClassGroup.span(2)
     lam = primary_associate_mod4(split_prime(l, SQRT2))
     cap_pi = primary_associate(split_prime(p, SQRT2))
     sym = ring_symbol(lam, cap_pi)
-    obstructed = sym == -1
-    return Classification(
-        "pl-7mod8",
-        p,
-        l,
-        SquareClassGroup.span(-1, p, l),
-        s_phi,
-        sha_psi=SquareClassGroup.span(p) if obstructed else _ONE,
-        sha_phi=s_phi if obstructed else _ONE,
-        w_phi=_ONE if obstructed else s_phi,
-        notes=(f"criterion: [Lambda/Pi] = {sym:+d}, Lambda of norm -{l}",),
-    )
+    note = f"criterion: [Lambda/Pi] = {sym:+d}, Lambda of norm -{l}"
+    return _one_sign("pl-7mod8", p, l, _selmer((7, 7, 1), p, l), sym == -1, (note,),
+                     sha_psi=SquareClassGroup.span(p))
 
 
 def classify_pair(p: int, l: int) -> Classification | None:
@@ -454,7 +441,7 @@ def classify_pair(p: int, l: int) -> Classification | None:
 def classify_auto(k: int) -> Classification | None:
     """Dispatch k to whichever family classifier applies, else None."""
     f = factor(k)
-    if f.sign < 0 or f.value != f.radical:
+    if k < 1 or f.squarefree_part() != k:
         return None  # not squarefree positive: no criteria apply
     ps = [q for q, _ in f.factors]
     if len(ps) != 2:
@@ -483,7 +470,7 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
     """
     f = factor(k)
     ps = [q for q, _ in f.factors]
-    if f.sign < 0 or f.value != f.radical or any(q % 8 != 1 for q in ps):
+    if k < 1 or f.squarefree_part() != k or any(q % 8 != 1 for q in ps):
         raise FamilyMismatch(
             "need squarefree positive k with all prime factors = 1 mod 8"
         )
@@ -540,7 +527,7 @@ def _mutual_residue_products(*ns: int) -> bool:
     primes: list[int] = []
     for n in ns:
         f = factor(n)
-        if f.sign < 0 or f.value != f.radical:
+        if n < 1 or f.squarefree_part() != n:
             return False
         for q, _ in f.factors:
             if q % 4 != 1:

@@ -125,10 +125,13 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
     any unit for w = 3. So a + w even leaves s = 4 for a = 0 and s = 2 or 8
     for a = 1.
 
-    Raises BadResidueClass when b1 or b2 is 0, as locally_solvable does.
+    Raises BadResidueClass when b1 or b2 is 0, as locally_solvable does, or
+    when q < 2.
     """
     if b1 == 0 or b2 == 0:
         raise BadResidueClass(f"solvable_at needs nonzero b1, b2, got {b1}, {b2}")
+    if q < 2:
+        raise BadResidueClass(f"solvable_at needs a prime q, got {q}")
     a, u1 = _split(b1, q)
     b, u2 = _split(b2, q)
     a, b = a % 4, b % 4

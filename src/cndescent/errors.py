@@ -30,10 +30,6 @@ class Inert(DescentError):
     """Prime does not split in the requested quadratic ring."""
 
 
-class SplitFailed(DescentError):
-    """Norm-equation solver found no element of norm +-p."""
-
-
 class NoPrimaryAssociate(DescentError):
     """No associate (or conjugate associate) meets the primary congruence."""
 

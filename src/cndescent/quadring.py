@@ -18,7 +18,6 @@ from .errors import (
     Inert,
     NoPrimaryAssociate,
     NotCoprime,
-    SplitFailed,
     UndefinedSymbol,
 )
 
@@ -113,16 +112,20 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     Raises Inert unless p is odd and omega^2 is a square mod p, that is
     outside the split residue classes: p = 1 mod 4 for Z[i], p = +-1 mod 8
     for Z[sqrt2], p = 1 or 3 mod 8 for Z[sqrt-2].
+
+    The gcd has norm +-p. With r^2 = omega^2 mod p, Z[omega]/(p, r - omega)
+    is Z/p, so the ideal (p, r - omega) has norm p. Rounding each
+    coordinate to the nearest integer leaves a remainder of norm at most
+    1/2, 3/4 and 1/2 times N(y) in Z[i], Z[sqrt-2] and Z[sqrt2], so every
+    Euclid step lowers |N| and the loop ends at a generator g of that
+    ideal: |N(g)| = p.
     """
     if not is_prime(p):
         raise BadResidueClass(f"split_prime needs a prime, got {p}")
     r = None if p == 2 else sqrt_mod_prime(ring.omega2, p)
     if r is None:
         raise Inert(f"{p} does not split in {ring}")
-    g = _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
-    if abs(g.norm) == p:
-        return g
-    raise SplitFailed(f"norm equation for {p} in {ring} not solved")
+    return _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
 
 
 def _least_primary(x: QuadInt) -> list[QuadInt]:

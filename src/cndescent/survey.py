@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .arith import jacobi, primes_in
 from .criteria import (
     ALL_PROFILES,
+    LAGRANGE_SELMER,
     Classification,
     ResidueProfile,
     classify_2p,
@@ -284,18 +285,6 @@ SYMBOL_LIST_LARGE = (
     (93193, 41, 2273, 1),
     (94177, 41, 2297, -1),
 )
-
-# Selmer group shapes per family, as generator tuples (psi side, phi side);
-# keyed by (p mod 8, l mod 8, (p/l)) with two_p separate
-LAGRANGE_SELMER = {
-    (1, 1, 1): (("-1", "p", "l"), ("2", "p", "l")),
-    (1, 1, -1): (("-1", "pl"), ("2", "pl")),
-    (5, 5, 1): (("-1", "pl"), ("p", "l")),
-    (5, 5, -1): (("-1", "pl"), ("2p", "2l")),
-    (3, 3, -1): (("-1", "pl"), ()),
-    (7, 7, 1): (("-1", "p", "l"), ("2",)),
-}
-
 
 @dataclass(frozen=True)
 class CheckLine:

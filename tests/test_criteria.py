@@ -293,7 +293,9 @@ def sample_family_inputs():
 @pytest.mark.parametrize("family,inputs", sample_family_inputs())
 def test_selmer_agreement_with_descent_module(family, inputs):
     """Closed-form Selmer groups match the local-solvability computation,
-    and descend finds nothing to note against the criteria."""
+    descend finds nothing to note against the criteria, and the certificate
+    splits Sel^phi: W^phi and Sha^phi meet in 1 and their orders multiply
+    to its order."""
     classify = {
         "2p": classify_2p,
         "plus": classify_11_plus,
@@ -306,6 +308,11 @@ def test_selmer_agreement_with_descent_module(family, inputs):
         assert rep.selmer_psi == cls.selmer_psi, (family, tup)
         assert rep.selmer_phi == cls.selmer_phi, (family, tup)
         assert rep.notes == (), (family, tup, rep.notes)
+        sel_phi, w_phi, sha_phi = cls.selmer_phi, cls.w_phi, cls.sha_phi
+        assert cls.sha_psi <= cls.selmer_psi, (family, tup)
+        assert w_phi <= sel_phi and sha_phi <= sel_phi, (family, tup)
+        assert w_phi.elements & sha_phi.elements == {1}, (family, tup)
+        assert len(w_phi) * len(sha_phi) == len(sel_phi), (family, tup)
 
 
 # --- general-divisor conditions on the phi side --------------------------------

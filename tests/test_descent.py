@@ -493,7 +493,7 @@ try:
     descend(999999937, 50)
 except FactorBudgetExceeded:
     print("FactorBudgetExceeded")
-for b1, b2, q in ((0, 5, 3), (5, 0, 2)):
+for b1, b2, q in ((0, 5, 3), (5, 0, 2), (3, 5, 1), (3, 5, -1)):
     try:
         solvable_at(b1, b2, q)
     except BadResidueClass:
@@ -519,7 +519,7 @@ def test_hard_inputs_finish_in_bounded_memory():
     # E_{2^20 * 7} is E_7 rescaled, and 7 is congruent: rank 1
     assert out.splitlines() == [
         "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
-        "BadResidueClass", "BadResidueClass",
+        "BadResidueClass", "BadResidueClass", "BadResidueClass", "BadResidueClass",
     ]
 
 

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 module-level name is referenced somewhere besides its own definition, every
-parameter default is overridden by some call (else it is a constant), and
-importing the CLI loads no third-party package: sympy is a test oracle only.
+parameter default is overridden by some call (else it is a constant), every
+error class is raised or subclassed, and importing the CLI loads no
+third-party package: sympy is a test oracle only.
 
 `__init__` is exempt from the import check: its imports are the public
 re-exports.
@@ -145,6 +146,25 @@ def unpassed_defaults(package: dict[str, str], others: list[str]) -> list[str]:
     return out
 
 
+def unraised_errors(errors: str, package: list[str]) -> list[str]:
+    """Each class `errors` defines that no `raise` in the package sources
+    names and no class there subclasses, by bare name or attribute."""
+
+    def name(node: ast.expr) -> str | None:
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    used: set[str | None] = set()
+    for tree in map(ast.parse, package):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(name(exc))
+            elif isinstance(node, ast.ClassDef):
+                used.update(name(b) for b in node.bases)
+    classes = [n.name for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)]
+    return [c for c in classes if c not in used]
+
+
 def test_checker_flags_an_unused_import():
     src = "from math import gcd, isqrt\nimport os.path\n\nprint(gcd(4, 6))\n"
     assert unused_imports(src) == ["isqrt (line 1)", "os (line 2)"]
@@ -177,6 +197,22 @@ def test_checker_flags_a_default_no_call_passes():
     assert unpassed_defaults({"a": a, "b": b}, [tests]) == ["a.f.z", "a.C.size", "a.C.make.k"]
 
 
+def test_checker_flags_an_error_class_nothing_raises():
+    errors = "".join(
+        f"class {c}({base}):\n    pass\n\n"
+        for c, base in [("Base", "Exception"), ("Raised", "Base"), ("ByAttr", "Base"),
+                        ("Parent", "Base"), ("Named", "Base")]
+    )
+    pkg = (
+        "from . import errors\nfrom .errors import Named, Raised\n\n"
+        "class Child(errors.Parent):\n    pass\n\n"
+        "def f(x):\n    if x:\n        raise Raised('x')\n"
+        "    raise errors.ByAttr from None\n\n"
+        "print(Named)\n"
+    )
+    assert unraised_errors(errors, [errors, pkg]) == ["Named"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -193,6 +229,13 @@ def test_every_defaulted_parameter_is_passed():
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unpassed_defaults(package, tests) == []
+
+
+def test_every_error_class_is_raised():
+    # an error type that nothing raises promises callers a failure mode
+    # the code does not have
+    errors = (PACKAGE / "errors.py").read_text()
+    assert unraised_errors(errors, [p.read_text() for p in MODULES]) == []
 
 
 def test_runtime_does_not_import_sympy():
