@@ -58,6 +58,11 @@ def quartic_symbol(a: int, l: int) -> int:
     """
     if l % 4 != 1 or not is_prime(l):
         raise BadResidueClass(f"quartic symbol needs a prime = 1 mod 4, got {l}")
+    return _quartic(a, l)
+
+
+def _quartic(a: int, l: int) -> int:
+    """`quartic_symbol` for a prime l = 1 mod 4, unchecked."""
     r = pow(a % l, (l - 1) // 4, l)
     if r == 0:
         raise NotCoprime(f"quartic_symbol({a}, {l}): {l} divides {a}")
@@ -89,6 +94,11 @@ def octic_minus4(p: int) -> int:
     """
     if p % 8 != 1 or not is_prime(p):
         raise BadResidueClass(f"octic character needs a prime = 1 mod 8, got {p}")
+    return _octic(p)
+
+
+def _octic(p: int) -> int:
+    """`octic_minus4` for a prime p = 1 mod 8, unchecked."""
     return 1 if pow(-4 % p, (p - 1) // 8, p) == 1 else -1
 
 
@@ -109,9 +119,7 @@ def half_symbols(l: int) -> tuple[int, int]:
     """
     if l % 8 != 1 or not is_prime(l):
         raise BadResidueClass(f"half symbols need a prime = 1 mod 8, got {l}")
-    two = quartic_symbol(2, l)
-    lhalf = 1 if (l - 1) // 8 % 2 == 0 else -1
-    return two, lhalf
+    return _quartic(2, l), 1 if (l - 1) // 8 % 2 == 0 else -1
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,8 @@ def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> lis
     A sieve of Eratosthenes over the segment alone, crossed off by the
     primes up to sqrt(hi), so it takes hi - lo + sqrt(hi) bytes.
     """
+    if mod < 1:
+        raise BadResidueClass(f"primes_in needs a modulus >= 1, got {mod}")
     lo = max(lo, 2)
     if hi <= lo:
         return []

@@ -19,11 +19,14 @@ Sign conventions: every symbol value is +1 or -1, never 0; a composite
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .arith import (
+    _octic,
+    _quartic,
     factor,
     is_prime,
     jacobi,
@@ -41,11 +44,11 @@ from .quadring import (
     GAUSS,
     SQRT2,
     QuadInt,
+    _capital,
     primary_associate,
     primary_associate_mod4,
     ring_symbol,
     split_prime,
-    symbol_capital,
 )
 from .sqclass import LABELS, SquareClassGroup, concretize, label_span
 
@@ -76,17 +79,22 @@ def _mutual_residues(primes) -> bool:
 
 def residue_profile(p: int, l: int) -> ResidueProfile:
     """Profile of an admissible pair: p, l distinct primes = 1 mod 8 with
-    (p/l) = +1."""
+    (p/l) = +1.
+
+    The pair is checked once here, so the symbols come from the unchecked
+    kernels of `symbol_capital`, `quartic_symbol` and `octic_minus4`, and
+    each prime is tested for primality once.
+    """
     if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != 1:
         raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1")
     return ResidueProfile(
-        pi=symbol_capital(p, l, SQRT2),
-        a=quartic_symbol(l, p),
-        b=quartic_symbol(p, l),
-        c=octic_minus4(p),
-        d=octic_minus4(l),
+        pi=_capital(p, l, SQRT2.omega2),
+        a=_quartic(l, p),
+        b=_quartic(p, l),
+        c=_octic(p),
+        d=_octic(l),
     )
 
 
@@ -199,8 +207,14 @@ class ProfileClassification:
         return 4 - self.sha_psi_dim - self.sha_phi_dim
 
 
+@cache
 def classify_profile(profile: ResidueProfile) -> ProfileClassification:
-    """Pure sign logic: W candidates, certified Sha dimensions, rank bound."""
+    """Pure sign logic: W candidates, certified Sha dimensions, rank bound.
+
+    Cached: there are only 32 profiles. The result's `profile` is always a
+    ResidueProfile, since an equal plain tuple shares the cache entry.
+    """
+    profile = ResidueProfile(*profile)
     passing = phi_pass_classes(profile)
     w = label_span(passing)
     if not (passing | {"1"}) == w:

@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from .arith import factor
 from .criteria import classify_auto, selmer_rank_bound
-from .errors import BadResidueClass, InconsistentCriteria
+from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
 from .sqclass import SquareClassGroup
 
 PSI = "psi"
@@ -52,6 +52,8 @@ def _torsor_constant(k: int, side: str) -> int:
     4k^2 for odd k or k^2/4 for even k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if side not in (PSI, PHI):
+        raise PreconditionUnmet(f"side must be {PSI!r} or {PHI!r}, got {side!r}")
     if side == PSI:
         return -k * k
     return 4 * k * k if k % 2 == 1 else k * k // 4

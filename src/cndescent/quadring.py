@@ -5,6 +5,10 @@ relies on. The central export is `symbol_capital`, the quadratic residue
 symbol [P/L] of one primary split prime modulo another; its conjugate
 independence (for (p/l) = +1) and reciprocity are verified by the test
 suite, not assumed here.
+
+The arithmetic runs on plain int pairs (a, b) = a + b*omega in private
+kernels that take omega^2 and trust their arguments; the public functions
+check the arguments, call the kernels and box the results in `QuadInt`.
 """
 
 from __future__ import annotations
@@ -76,11 +80,7 @@ class QuadInt:
         return QuadInt(self.ring, self.a - other.a, self.b - other.b)
 
     def is_primary(self) -> bool:
-        """Primary congruence: = 1 mod (2+2i), mod 2*sqrt(2), mod 2*sqrt(-2)."""
-        a, b = self.a, self.b
-        if self.ring is GAUSS:
-            return a % 2 == 1 and b % 2 == 0 and (a - 1 - b) % 4 == 0
-        return a % 4 == 1 and b % 2 == 0
+        return _is_primary(self.a, self.b, self.ring.omega2)
 
     def __str__(self) -> str:
         sym = {-1: "i", 2: "sqrt2", -2: "sqrt-2"}[self.ring.omega2]
@@ -90,20 +90,37 @@ class QuadInt:
 EPS2 = QuadInt(SQRT2, 1, 1)  # fundamental unit of Z[sqrt2], norm -1
 
 
-def _round_div(num: int, den: int) -> int:
-    """Nearest-integer division, ties toward +infinity."""
-    return (2 * num + den) // (2 * den)
+_RING = {ring.omega2: ring for ring in RINGS}  # for the kernels' messages
 
 
-def _euclid_gcd(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Euclidean gcd; valid because all three rings are norm-Euclidean."""
-    while not y.is_zero:
-        # quotient = round(x * conj(y) / N(y)) componentwise
-        n = y.norm
-        prod = x * y.conj()
-        q = QuadInt(x.ring, _round_div(prod.a, n), _round_div(prod.b, n))
-        x, y = y, x - q * y
-    return x
+def _is_primary(a: int, b: int, w2: int) -> bool:
+    """Primary congruence: = 1 mod (2+2i), mod 2*sqrt(2), mod 2*sqrt(-2)."""
+    if w2 == -1:
+        return a % 2 == 1 and b % 2 == 0 and (a - 1 - b) % 4 == 0
+    return a % 4 == 1 and b % 2 == 0
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise BadResidueClass(f"split_prime needs a prime, got {p}")
+
+
+def _split(p: int, w2: int) -> tuple[int, int]:
+    """`split_prime` on ints, for a prime p: Euclid's gcd of p and r - omega.
+
+    The quotient of x by y is x * conj(y) / N(y) rounded coordinatewise to
+    the nearest integer, ties toward +infinity.
+    """
+    r = None if p == 2 else sqrt_mod_prime(w2, p)
+    if r is None:
+        raise Inert(f"{p} does not split in {_RING[w2]}")
+    xa, xb, ya, yb = p, 0, r, -1
+    while ya or yb:
+        n = ya * ya - w2 * yb * yb
+        qa = (2 * (xa * ya - w2 * xb * yb) + n) // (2 * n)
+        qb = (2 * (xb * ya - xa * yb) + n) // (2 * n)
+        xa, xb, ya, yb = ya, yb, xa - qa * ya - w2 * qb * yb, xb - qa * yb - qb * ya
+    return xa, xb
 
 
 def split_prime(p: int, ring: Ring) -> QuadInt:
@@ -120,31 +137,34 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     Euclid step lowers |N| and the loop ends at a generator g of that
     ideal: |N(g)| = p.
     """
-    if not is_prime(p):
-        raise BadResidueClass(f"split_prime needs a prime, got {p}")
-    r = None if p == 2 else sqrt_mod_prime(ring.omega2, p)
-    if r is None:
-        raise Inert(f"{p} does not split in {ring}")
-    return _euclid_gcd(QuadInt(ring, p, 0), QuadInt(ring, r, -1))
+    _require_prime(p)
+    return QuadInt(ring, *_split(p, ring.omega2))
 
 
-def _least_primary(x: QuadInt) -> list[QuadInt]:
-    """The primary unit multiples of x with least |unit exponent|, eps2 first.
+def _primary(a: int, b: int, w2: int) -> tuple[int, int]:
+    """`primary_associate` on ints, for odd norm.
 
-    An odd norm makes a odd, except in Z[i], where a may be even; then
-    i*x = -b + a*i has a odd instead. Once a is odd and b even, exactly one
-    of +-x is primary. In Z[sqrt2] with b odd, eps2*x = (a+2b) + (a+b)sqrt2
-    and eps2^-1*x = (2b-a) + (a-b)sqrt2 have b even while eps2^+-2*x do
-    not; in Z[sqrt-2] with b odd no unit helps.
+    The candidates are the primary unit multiples with least |unit
+    exponent| of alpha, then of its conjugate; both share the parities of
+    a and b, hence the least exponent. An odd norm makes a odd, except in
+    Z[i], where a may be even; then i*x = -b + a*i has a odd instead. Once
+    a is odd and b even, exactly one of +-x is primary. In Z[sqrt2] with b
+    odd, eps2*x = (a+2b) + (a+b)sqrt2 and eps2^-1*x = (2b-a) + (a-b)sqrt2
+    have b even while eps2^+-2*x do not; in Z[sqrt-2] with b odd no unit
+    helps. min is stable, so alpha wins the remaining ties.
     """
-    a, b = x.a, x.b
-    if x.ring is GAUSS and a % 2 == 0:
-        bases = [QuadInt(GAUSS, -b, a)]
-    elif x.ring is SQRT2 and b % 2 == 1:
-        bases = [QuadInt(SQRT2, a + 2 * b, a + b), QuadInt(SQRT2, 2 * b - a, a - b)]
-    else:
-        bases = [x]
-    return [c for y in bases for c in (y, -y) if c.is_primary()]
+    cands = []
+    for x, y in ((a, b), (a, -b)):
+        if w2 == -1 and x % 2 == 0:
+            bases = ((-y, x),)
+        elif w2 == 2 and y % 2 == 1:
+            bases = ((x + 2 * y, x + y), (2 * y - x, x - y))
+        else:
+            bases = ((x, y),)
+        cands += [c for u, v in bases for c in ((u, v), (-u, -v)) if _is_primary(*c, w2)]
+    if not cands:
+        raise NoPrimaryAssociate(f"no primary associate of {QuadInt(_RING[w2], a, b)}")
+    return min(cands, key=lambda c: (c[0] <= 0, c[1] <= 0))
 
 
 def primary_associate(alpha: QuadInt) -> QuadInt:
@@ -156,12 +176,7 @@ def primary_associate(alpha: QuadInt) -> QuadInt:
     """
     if alpha.norm % 2 == 0:
         raise NoPrimaryAssociate(f"{alpha} has even norm")
-    # alpha and its conjugate share the parities of a and b, hence the
-    # least exponent; min is stable, so alpha wins remaining ties
-    cands = _least_primary(alpha) + _least_primary(alpha.conj())
-    if not cands:
-        raise NoPrimaryAssociate(f"no primary associate of {alpha}")
-    return min(cands, key=lambda c: (c.a <= 0, c.b <= 0))
+    return QuadInt(alpha.ring, *_primary(alpha.a, alpha.b, alpha.ring.omega2))
 
 
 def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
@@ -181,25 +196,39 @@ def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
     return y if (y.a + y.b) % 4 == 1 else -y
 
 
-def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:
-    """Quadratic residue symbol [alpha/beta], beta of odd prime norm.
+def _symbol(alpha: tuple[int, int], beta: tuple[int, int], w2: int) -> int:
+    """[alpha/beta] on ints, for |N(beta)| = q an odd prime; 0 when beta
+    divides alpha.
 
-    Computed through the residue-field embedding: beta = c + d*omega of
-    norm +-q gives omega = -c/d mod q, then the Euler criterion in F_q.
+    Computed through the residue-field embedding: beta = c + d*omega gives
+    omega = -c/d mod q, then the Euler criterion in F_q. q does not divide
+    d: else q | c too, and q^2 would divide N(beta) = +-q.
     """
+    (a, b), (c, d) = alpha, beta
+    q = abs(c * c - w2 * d * d)
+    t = (a - b * c * pow(d, -1, q)) % q
+    if t == 0:
+        return 0
+    return 1 if pow(t, (q - 1) // 2, q) == 1 else -1
+
+
+def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:
+    """Quadratic residue symbol [alpha/beta], beta of odd prime norm."""
     if alpha.ring != beta.ring:
         raise ValueError("mixed rings")
     q = abs(beta.norm)
     if q % 2 == 0 or not is_prime(q):
         raise CompositeModulus(f"|N({beta})| = {q} is not an odd prime")
-    # q does not divide d: else q | c too, and q^2 would divide N(beta) = +-q
-    c, d = beta.a % q, beta.b % q
-    r = (-c * pow(d, -1, q)) % q
-    t = (alpha.a + alpha.b * r) % q
-    if t == 0:
+    s = _symbol((alpha.a, alpha.b), (beta.a, beta.b), beta.ring.omega2)
+    if s == 0:
         raise NotCoprime(f"{alpha} shares the prime {beta}")
-    s = pow(t, (q - 1) // 2, q)
-    return 1 if s == 1 else -1
+    return s
+
+
+def _capital(p: int, l: int, w2: int) -> int:
+    """`symbol_capital` on ints, for distinct primes p, l = 1 mod 8 with
+    (p/l) = +1."""
+    return _symbol(_primary(*_split(p, w2), w2), _primary(*_split(l, w2), w2), w2)
 
 
 def symbol_capital(p: int, l: int, ring: Ring) -> int:
@@ -212,6 +241,6 @@ def symbol_capital(p: int, l: int, ring: Ring) -> int:
         raise UndefinedSymbol(f"need distinct primes = 1 mod 8, got {p}, {l}")
     if jacobi(p, l) != 1:
         raise UndefinedSymbol(f"[P/L] needs (p/l) = +1, got -1 for ({p}, {l})")
-    cap_p = primary_associate(split_prime(p, ring))
-    cap_l = primary_associate(split_prime(l, ring))
-    return ring_symbol(cap_p, cap_l)
+    _require_prime(p)
+    _require_prime(l)
+    return _capital(p, l, ring.omega2)

@@ -114,13 +114,21 @@ def label_span(labels) -> frozenset[str]:
     return frozenset(LABELS[m] for m in _double((_MASK[s] for s in labels), xor, 0))
 
 
+# each label's 4-bit mask over the basis (-1, 2, p, l) of the concrete group
+_CONCRETE_MASK = {"-1": 1, **{s: m << 1 for s, m in _MASK.items()}}
+
+
 def concretize(labels, p: int, l: int) -> SquareClassGroup:
     """The concrete group spanned by label generators at primes p, l.
 
     Accepts "-1" besides the labels over (2, p, l), for the psi side.
+    p and l must be distinct odd primes: then -1, 2, p, l are independent
+    modulo squares, the group is the XOR span of the labels' masks over
+    them, and each mask's class is the product of its basis elements.
     """
-    values = {"-1": -1, "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l,
-              "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
-    # span in this dict's order, not the caller's: a frozenset of labels
-    # iterates in string-hash order, which changes from process to process
-    return SquareClassGroup.span(*(v for s, v in values.items() if s in labels))
+    pl = p * l
+    values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
+              l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
+    masks = _double((m for s, m in _CONCRETE_MASK.items() if s in labels), xor, 0)
+    # sorted: the ints enter the frozenset in one order in every process
+    return SquareClassGroup(frozenset([values[m] for m in sorted(masks)]))

@@ -119,7 +119,7 @@ def test_selmer_shapes_per_family():
         (1, 1, -1): (17, 41),
         (5, 5, 1): (5, 29),
         (5, 5, -1): (5, 13),
-        (3, 3, -1): (3, 11),
+        (3, 3, -1): (11, 3),
         (7, 7, 1): (7, 23),
     }
     assert set(fixture_pairs) == set(LAGRANGE_SELMER)

@@ -3,6 +3,7 @@ coprime-squares relations, and witness coherence."""
 
 import pytest
 
+from cndescent import arith, criteria, quadring
 from cndescent.arith import is_prime, jacobi, octic_minus4, primes_in, quartic_symbol
 from cndescent.criteria import (
     ALL_PROFILES,
@@ -70,6 +71,19 @@ def test_residue_profile_rejects_bad_pairs():
         residue_profile(17, 91)  # 91 = 7 * 13
 
 
+def test_classify_11_plus_tests_each_prime_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (arith, quadring, criteria):
+        monkeypatch.setattr(module, "is_prime", counted)
+    classify_11_plus(17, 89)
+    assert sorted(calls) == [17, 89]
+
+
 # --- the 32-profile grid ------------------------------------------------------
 
 
@@ -104,6 +118,18 @@ SPOT_ROWS = {
     (1, 1, 1, -1, -1): (1, {"1"}, {"1", "2", "p", "2p", "l", "2l", "pl", "2pl"}, 0),
     (1, 1, -1, -1, -1): (0, {"1", "2pl"}, {"1", "2", "p", "2p"}, 2),
 }
+
+
+def test_classify_profile_cache_matches_a_fresh_computation():
+    classify_profile.cache_clear()
+    # a plain tuple first: its entry must still hold a ResidueProfile
+    assert type(classify_profile(tuple(ALL_PROFILES[7])).profile) is ResidueProfile
+    for profile in ALL_PROFILES:
+        pc = classify_profile(profile)
+        assert pc == classify_profile.__wrapped__(profile), profile
+        assert type(pc.profile) is ResidueProfile
+        assert classify_profile(profile) is pc
+    assert classify_profile.cache_info().currsize == 32
 
 
 def test_grid_spot_rows():

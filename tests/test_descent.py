@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cndescent
 from cndescent import cli, descent
-from cndescent.arith import factor
+from cndescent.arith import factor, primes_in
 from cndescent.descent import (
     PHI,
     PSI,
@@ -28,7 +28,7 @@ from cndescent.descent import (
     _free_classes,
     _torsor_constant,
 )
-from cndescent.errors import InconsistentCriteria
+from cndescent.errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
 from cndescent.sqclass import SquareClassGroup
 
 
@@ -477,6 +477,14 @@ def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
 def test_descend_rejects_nonpositive():
     with pytest.raises(Exception):
         descend(0)
+
+
+def test_bad_side_and_modulus_raise_typed_errors():
+    # once a silent phi-side answer and a ZeroDivisionError
+    with pytest.raises(PreconditionUnmet):
+        selmer_group(5, "x")
+    with pytest.raises(BadResidueClass):
+        primes_in(0, 50, 3, 0)
 
 
 # each line once exhausted memory, stalled in a residue-class search, or (for

@@ -1,12 +1,22 @@
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cndescent.arith import jacobi, octic_minus4, primes_in, quartic_symbol
+from cndescent.arith import (
+    is_prime,
+    jacobi,
+    octic_minus4,
+    primes_in,
+    quartic_symbol,
+    sqrt_mod_prime,
+)
 from cndescent.errors import (
+    BadResidueClass,
     CompositeModulus,
+    DescentError,
     Inert,
     NoPrimaryAssociate,
     NotCoprime,
@@ -112,6 +122,7 @@ def test_primary_associate_idempotent_and_primary():
 _EPS2_INV = QuadInt(SQRT2, -1, 1)
 
 
+@cache
 def _reference_units(ring):
     """(|exponent|, unit) pairs: both signs of eps2^n, |n| <= 2, in Z[sqrt2]
     (every unit class mod 2 sqrt 2), and all units of Z[i] and Z[sqrt-2]."""
@@ -156,11 +167,35 @@ def reference_primary_associate_mod4(alpha):
     raise NoPrimaryAssociate(f"no mod-4 primary associate of {alpha}")
 
 
-def _outcome(fn, x):
+def _round_div(num, den):
+    """Nearest-integer division, ties toward +infinity."""
+    return (2 * num + den) // (2 * den)
+
+
+def reference_split_prime(p, ring):
+    """Euclid oracle on QuadInt: the gcd of p and r - omega, r the least
+    square root of omega^2 mod p, each quotient x * conj(y) / N(y) rounded
+    coordinatewise."""
+    if not is_prime(p):
+        raise BadResidueClass(f"split_prime needs a prime, got {p}")
+    r = None if p == 2 else sqrt_mod_prime(ring.omega2, p)
+    if r is None:
+        raise Inert(f"{p} does not split in {ring}")
+    x, y = QuadInt(ring, p, 0), QuadInt(ring, r, -1)
+    while not y.is_zero:
+        n = y.norm
+        prod = x * y.conj()
+        q = QuadInt(ring, _round_div(prod.a, n), _round_div(prod.b, n))
+        x, y = y, x - q * y
+    return x
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the package error it raises."""
     try:
-        return fn(x)
-    except NoPrimaryAssociate:
-        return NoPrimaryAssociate
+        return fn(*args)
+    except DescentError as e:
+        return type(e), str(e)
 
 
 def _split_primes(bound, rings=RINGS):
@@ -194,6 +229,30 @@ def test_primary_associate_matches_unit_search():
         ), x
         if x.ring is SQRT2:
             assert primary_associate_mod4(x) == reference_primary_associate_mod4(x), x
+
+
+def test_split_and_primary_match_the_euclid_and_unit_search_oracles():
+    # every prime below 2*10^5 in every ring, Inert and NoPrimaryAssociate
+    # (Z[sqrt-2], p = 3 mod 8) included, and BadResidueClass on non-primes
+    checked = 0
+    for p in [0, 1, 9, 15, 91, 561, *primes_in(2, 2 * 10**5)]:
+        for ring in RINGS:
+            got = _outcome(split_prime, p, ring)
+            assert got == _outcome(reference_split_prime, p, ring), (p, ring)
+            if isinstance(got, QuadInt):
+                want = _outcome(reference_primary_associate, got)
+                assert _outcome(primary_associate, got) == want, got
+                checked += 1
+    assert checked > 26000, checked
+
+
+def test_symbol_capital_matches_the_oracle_composition():
+    for p, l in _admissible_pairs(10**6, 100, seed=14):
+        for ring in RINGS:
+            cap_p, cap_l = (
+                reference_primary_associate(reference_split_prime(q, ring)) for q in (p, l)
+            )
+            assert symbol_capital(p, l, ring) == ring_symbol(cap_p, cap_l), (p, l, ring)
 
 
 def test_primary_associate_mod4_normalization():

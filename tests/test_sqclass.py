@@ -123,3 +123,15 @@ def test_label_span_then_concretize_matches_span():
         want = SquareClassGroup.span(*(value[s] for s in sub))
         assert concretize(labels, p, l) == want, sub
         assert len(labels) == len(want), sub
+
+
+def test_concretize_matches_span_on_every_label_subset():
+    labels = ("-1", "1", "2", "p", "2p", "l", "2l", "pl", "2pl")
+    for p, l in ((3, 11), (11, 3), (5, 13), (7, 23), (17, 89), (999983, 999961)):
+        value = {"-1": -1, "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l,
+                 "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
+        for n in range(len(labels) + 1):
+            for sub in itertools.combinations(labels, n):
+                want = SquareClassGroup.span(*(value[s] for s in sub))
+                assert concretize(sub, p, l) == want, (p, l, sub)
+                assert concretize(frozenset(sub), p, l) == want, (p, l, sub)
