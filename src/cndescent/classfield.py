@@ -53,8 +53,7 @@ def fundamental_unit(d: int) -> tuple[int, int, int]:
     period closes gives the minimal solution of u^2 - d v^2 = +-1, with the
     sign determined by the period length.
     """
-    a0 = isqrt(d)
-    if d < 2 or a0 * a0 == d:
+    if d < 2 or isqrt(d) ** 2 == d:
         raise ValueError(f"need a nonsquare d >= 2, got {d}")
     h, k = next((h, k) for h, k, end in _convergents(d) if end)
     return (h, k, h * h - d * k * k)
@@ -68,12 +67,11 @@ def pell_solvable(d: int, c: int) -> tuple[int, int] | None:
     sqrt(d) <= |c| <= 2 sqrt(d) a bounded scan decides in practice but a
     miss is not a proof. Larger |c| raises BudgetExceeded.
     """
-    a0 = isqrt(d)
-    if d < 2 or a0 * a0 == d:
+    if d < 2 or isqrt(d) ** 2 == d:
         raise ValueError(f"need a nonsquare d >= 2, got {d}")
     if c == 0:
         raise ValueError("c = 0 has only the trivial solution")
-    if abs(c) > 2 * a0 + 2:
+    if abs(c) > 2 * isqrt(d) + 2:
         raise BudgetExceeded(f"|c| = {abs(c)} beyond the supported range for d = {d}")
     if c > 0:
         r = isqrt(c)

@@ -19,7 +19,7 @@ Sign conventions: every symbol value is +1 or -1, never 0; a composite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -44,7 +44,9 @@ from .quadring import (
     GAUSS,
     SQRT2,
     QuadInt,
-    _capital,
+    _primary,
+    _split,
+    _symbol,
     primary_associate,
     primary_associate_mod4,
     ring_symbol,
@@ -77,24 +79,40 @@ def _mutual_residues(primes) -> bool:
     return all(jacobi(q, r) == 1 for q, r in combinations(primes, 2))
 
 
+# covers the 2,384 primes = 1 mod 8 below 10^5, the largest survey box;
+# about 1 MB when full
+_PRIME_RECORDS = 4096
+
+
+@lru_cache(maxsize=_PRIME_RECORDS)
+def _prime_record(p: int) -> tuple[tuple[int, int], int]:
+    """The per-prime part of a profile, for a checked prime p = 1 mod 8: the
+    primary prime over p in Z[sqrt2] as an int pair, and (-4/p)_8."""
+    w2 = SQRT2.omega2
+    return _primary(*_split(p, w2), w2), _octic(p)
+
+
 def residue_profile(p: int, l: int) -> ResidueProfile:
     """Profile of an admissible pair: p, l distinct primes = 1 mod 8 with
     (p/l) = +1.
 
-    The pair is checked once here, so the symbols come from the unchecked
-    kernels of `symbol_capital`, `quartic_symbol` and `octic_minus4`, and
-    each prime is tested for primality once.
+    The pair is checked here on every call, so the symbols come from the
+    unchecked kernels of `symbol_capital`, `quartic_symbol` and
+    `octic_minus4`, and each prime is tested for primality once per call.
+    Each prime's primary prime in Z[sqrt2] and its octic sign come from
+    `_prime_record`, an LRU cache of the `_PRIME_RECORDS` = 4,096 most
+    recently used checked primes, so a survey, where hundreds of pairs
+    share each prime, splits each prime once and computes only [P/L] and
+    the two quartic symbols per pair.
     """
     if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != 1:
         raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1")
+    P, c = _prime_record(p)
+    L, d = _prime_record(l)
     return ResidueProfile(
-        pi=_capital(p, l, SQRT2.omega2),
-        a=_quartic(l, p),
-        b=_quartic(p, l),
-        c=_octic(p),
-        d=_octic(l),
+        pi=_symbol(P, L, SQRT2.omega2), a=_quartic(l, p), b=_quartic(p, l), c=c, d=d
     )
 
 

@@ -228,8 +228,14 @@ def search_points(
     396 (height + 1) / 8 bytes, 5 MB at height 10^5. Each row repeats a
     length-q base pattern, cached across calls by (q, b1 mod q,
     b2 e^4 mod q): at most sum(q^2) ~ 14.6k small ints.
+
+    Raises PreconditionUnmet for a zero b1 or b2 or a negative height.
     """
     b1, b2 = torsor.b1, torsor.b2
+    if b1 == 0 or b2 == 0:
+        raise PreconditionUnmet(f"torsor coefficients must be nonzero, got {b1}, {b2}")
+    if height < 0:
+        raise PreconditionUnmet(f"height must be >= 0, got {height}")
     found: list[TorsorPoint] = []
     if b1 < 0 and b2 < 0:
         return found
@@ -335,6 +341,8 @@ def _free_classes(k: int, side: str) -> dict[int, TorsorPoint]:
 
 def descend(k: int, height: int = 1000) -> DescentReport:
     """Full descent: Selmer groups, point search, certificates, bounds."""
+    if height < 0:
+        raise PreconditionUnmet(f"height must be >= 0, got {height}")
     notes: list[str] = []
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
 

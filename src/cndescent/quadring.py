@@ -225,12 +225,6 @@ def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:
     return s
 
 
-def _capital(p: int, l: int, w2: int) -> int:
-    """`symbol_capital` on ints, for distinct primes p, l = 1 mod 8 with
-    (p/l) = +1."""
-    return _symbol(_primary(*_split(p, w2), w2), _primary(*_split(l, w2), w2), w2)
-
-
 def symbol_capital(p: int, l: int, ring: Ring) -> int:
     """[P/L]: the symbol of the primary prime over p modulo the one over l.
 
@@ -243,4 +237,5 @@ def symbol_capital(p: int, l: int, ring: Ring) -> int:
         raise UndefinedSymbol(f"[P/L] needs (p/l) = +1, got -1 for ({p}, {l})")
     _require_prime(p)
     _require_prime(l)
-    return _capital(p, l, ring.omega2)
+    w2 = ring.omega2
+    return _symbol(_primary(*_split(p, w2), w2), _primary(*_split(l, w2), w2), w2)

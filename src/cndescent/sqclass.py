@@ -4,6 +4,7 @@ the label group over the basis (2, p, l) in which the criteria name them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from operator import xor
 
@@ -129,6 +130,12 @@ def concretize(labels, p: int, l: int) -> SquareClassGroup:
     pl = p * l
     values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
               l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
-    masks = _double((m for s, m in _CONCRETE_MASK.items() if s in labels), xor, 0)
-    # sorted: the ints enter the frozenset in one order in every process
-    return SquareClassGroup(frozenset([values[m] for m in sorted(masks)]))
+    masks = _span_masks(frozenset(labels).intersection(_CONCRETE_MASK))
+    return SquareClassGroup(frozenset([values[m] for m in masks]))
+
+
+@cache
+def _span_masks(labels: frozenset[str]) -> tuple[int, ...]:
+    """The sorted masks of the span of known labels, at most 2^9 sets;
+    sorted so the ints enter the frozenset in one order in every process."""
+    return tuple(sorted(_double((_CONCRETE_MASK[s] for s in labels), xor, 0)))

@@ -40,6 +40,15 @@ def test_fundamental_unit_fixtures():
     assert fundamental_unit(82) == (9, 1, -1)
 
 
+@pytest.mark.parametrize("d", [-3, 0, 1, 4])
+def test_fundamental_unit_rejects_bad_d_by_its_own_guard(d):
+    # negative d must reach the guard, not fail inside isqrt
+    with pytest.raises(ValueError, match="need a nonsquare d >= 2"):
+        fundamental_unit(d)
+    with pytest.raises(ValueError, match="need a nonsquare d >= 2"):
+        pell_solvable(d, 1)
+
+
 def test_fundamental_unit_satisfies_norm_equation():
     for d in (2, 3, 5, 10, 34, 82, 146, 226, 1186, 1714):
         u, v, n = fundamental_unit(d)

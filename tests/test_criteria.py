@@ -30,6 +30,7 @@ from cndescent.criteria import (
 )
 from cndescent.descent import PSI, Torsor, descend, search_points
 from cndescent.errors import FamilyMismatch, HypothesisViolated
+from cndescent.quadring import SQRT2, symbol_capital
 from cndescent.sqclass import SquareClassGroup
 
 
@@ -61,6 +62,7 @@ def test_residue_profile_oracles():
 
 
 def test_residue_profile_rejects_bad_pairs():
+    criteria._prime_record.cache_clear()
     with pytest.raises(FamilyMismatch):
         residue_profile(5, 13)  # not 1 mod 8
     with pytest.raises(FamilyMismatch):
@@ -69,6 +71,31 @@ def test_residue_profile_rejects_bad_pairs():
         residue_profile(17, 97)  # (17/97) = -1
     with pytest.raises(FamilyMismatch):
         residue_profile(17, 91)  # 91 = 7 * 13
+    with pytest.raises(FamilyMismatch):
+        residue_profile(91, 17)
+    # the per-prime records only ever hold primes of admissible pairs
+    assert criteria._prime_record.cache_info().currsize == 0
+
+
+def test_residue_profile_matches_checked_symbols_on_cold_and_warm_records():
+    ps = list(primes_in(17, 2000, residue=1, mod=8))
+    pairs = [(p, l) for i, p in enumerate(ps) for l in ps[i + 1 :] if jacobi(p, l) == 1]
+    assert len(pairs) > 1000
+    want = {
+        (p, l): (
+            symbol_capital(p, l, SQRT2),
+            quartic_symbol(l, p),
+            quartic_symbol(p, l),
+            octic_minus4(p),
+            octic_minus4(l),
+        )
+        for p, l in pairs
+    }
+    criteria._prime_record.cache_clear()
+    for order in (pairs, pairs[::-1]):  # cold records first, then warm ones
+        for p, l in order:
+            assert tuple(residue_profile(p, l)) == want[p, l], (p, l)
+    assert criteria._prime_record.cache_info().currsize == len(ps)
 
 
 def test_classify_11_plus_tests_each_prime_once(monkeypatch):

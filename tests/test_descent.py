@@ -487,6 +487,22 @@ def test_bad_side_and_modulus_raise_typed_errors():
         primes_in(0, 50, 3, 0)
 
 
+@pytest.mark.parametrize("b1, b2", [(0, 5), (5, 0), (0, 0)])
+def test_search_points_rejects_zero_coefficient(b1, b2):
+    # (0, 5) once raised ZeroDivisionError from the fourth-root bound
+    with pytest.raises(PreconditionUnmet):
+        search_points(Torsor(PSI, b1, b2), 10)
+
+
+def test_negative_height_is_rejected():
+    # descend once accepted it silently; the CLI already rejects it
+    with pytest.raises(PreconditionUnmet):
+        descend(5, -1)
+    with pytest.raises(PreconditionUnmet):
+        search_points(Torsor(PSI, 1, -25), -1)
+    assert search_points(Torsor(PSI, 1, -25), 0) == []
+
+
 # each line once exhausted memory, stalled in a residue-class search, or (for
 # solvable_at with a zero coefficient) divided 0 by q forever
 _HARD_INPUTS = """

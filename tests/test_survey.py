@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cndescent import criteria, quadring
 from cndescent.criteria import ALL_PROFILES, residue_profile
 from cndescent.errors import BudgetExceeded, FamilyMismatch
 from cndescent.survey import (
@@ -72,6 +73,23 @@ def test_survey_plus_family_matches_grid():
         assert r.rank_upper == by_profile[r.profile].rank_bound
     assert sum(summary.per_profile.values()) == summary.total
     assert (17, 89) in [(r.p, r.l) for r in rows]
+
+
+def test_survey_splits_each_prime_once(monkeypatch):
+    split = quadring._split
+    calls = []
+
+    def counted(p, w2):
+        calls.append(p)
+        return split(p, w2)
+
+    for module in (quadring, criteria):
+        monkeypatch.setattr(module, "_split", counted)
+    criteria._prime_record.cache_clear()
+    rows, _ = run_survey(FamilySpec(bound=4000, residues=(1, 1), legendre=1))
+    primes = {r.p for r in rows} | {r.l for r in rows}
+    assert len(rows) == 4039 and len(primes) == 129
+    assert sorted(calls) == sorted(primes)
 
 
 def test_survey_with_point_search():
