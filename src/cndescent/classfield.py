@@ -351,37 +351,3 @@ def fourth_power_class_test(p: int, l: int) -> bool:
     b = r if r % 2 == 0 else p - r
     form = (p, b, (b * b - 8 * l) // (4 * p))
     return grp.class_of(form) in grp.fourth_powers()
-
-
-# --- convenience record -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadFieldData:
-    """Everything this module can say about the order of discriminant 8l."""
-
-    l: int
-    d: int  # 2l
-    discriminant: int  # 8l
-    eps: tuple[int, int]
-    norm_eps: int
-    h: int
-    h_plus: int
-    two_strict_principal: bool
-
-
-def quad_field_data(l: int) -> QuadFieldData:
-    if l % 8 != 1 or not is_prime(l):
-        raise BadResidueClass(f"need a prime = 1 mod 8, got {l}")
-    u, v, norm = fundamental_unit(2 * l)
-    grp = form_class_group(8 * l)
-    return QuadFieldData(
-        l=l,
-        d=2 * l,
-        discriminant=8 * l,
-        eps=(u, v),
-        norm_eps=norm,
-        h=grp.h,
-        h_plus=grp.h_plus,
-        two_strict_principal=pell_solvable(2 * l, 2) is not None,
-    )

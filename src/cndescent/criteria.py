@@ -52,7 +52,7 @@ from .quadring import (
     ring_symbol,
     split_prime,
 )
-from .sqclass import LABELS, SquareClassGroup, concretize, label_span
+from .sqclass import LABELS, SquareClassGroup, _extend, _label_mul, concretize, label_span
 
 # --- the residue profile ----------------------------------------------------
 
@@ -197,10 +197,11 @@ def phi_pass_classes(profile: ResidueProfile) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class ProfileClassification:
-    """Symbolic classification of one residue profile."""
+    """Symbolic classification of one residue profile, each group a label
+    group over (2, p, l)."""
 
     profile: ResidueProfile
-    sha_psi_dim: int  # 0 or 1
+    sha_psi: frozenset[str]  # certified: <p> or trivial
     w_phi: frozenset[str]  # passing classes + "1"; always a group
     sha_phi_complement: frozenset[str]  # canonical certified complement
 
@@ -211,9 +212,13 @@ class ProfileClassification:
 
         return (
             f"ProfileClassification(profile={self.profile!r}, "
-            f"sha_psi_dim={self.sha_psi_dim!r}, w_phi={labels(self.w_phi)}, "
+            f"sha_psi={labels(self.sha_psi)}, w_phi={labels(self.w_phi)}, "
             f"sha_phi_complement={labels(self.sha_phi_complement)})"
         )
+
+    @property
+    def sha_psi_dim(self) -> int:
+        return len(self.sha_psi).bit_length() - 1
 
     @property
     def sha_phi_dim(self) -> int:
@@ -227,7 +232,11 @@ class ProfileClassification:
 
 @cache
 def classify_profile(profile: ResidueProfile) -> ProfileClassification:
-    """Pure sign logic: W candidates, certified Sha dimensions, rank bound.
+    """Pure sign logic: W candidates, certified Sha groups, rank bound.
+
+    Sha^psi is trivial or <p>: of Sel^psi = <-1, p, l>, the classes
+    <-1, pl> always have points, and T(p) has none when every psi case
+    fails. The phi complement extends a basis of W in the fixed class order.
 
     Cached: there are only 32 profiles. The result's `profile` is always a
     ResidueProfile, since an equal plain tuple shares the cache entry.
@@ -239,19 +248,11 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
         raise InconsistentCriteria(
             f"phi pass set {sorted(passing)} is not a group for {profile}"
         )
-    # canonical complement: extend a basis of w in the fixed class order;
-    # covered = span(w, comp) ends as the whole group
-    comp: frozenset[str] = frozenset({"1"})
-    covered = w
-    for c in PHI_CLASSES:
-        if c not in covered:
-            comp = label_span(comp | {c})
-            covered = label_span(covered | {c})
     return ProfileClassification(
         profile=profile,
-        sha_psi_dim=1 if psi_obstructed(profile) else 0,
+        sha_psi=label_span(("p",) if psi_obstructed(profile) else ()),
         w_phi=w,
-        sha_phi_complement=comp,
+        sha_phi_complement=label_span(_extend(set(w), PHI_CLASSES, _label_mul)),
     )
 
 
@@ -351,8 +352,7 @@ def classify_11_plus(p: int, l: int) -> Classification:
     pc = classify_profile(profile)
     return Classification(
         "pl-1mod8-plus", p, l, *_selmer((1, 1, 1), p, l),
-        # Sha^psi is trivial or <p>: the classes <-1, pl> always have points
-        sha_psi=SquareClassGroup.span(p) if pc.sha_psi_dim else _ONE,
+        sha_psi=concretize(pc.sha_psi, p, l),
         sha_phi=concretize(pc.sha_phi_complement, p, l),
         w_phi=concretize(pc.w_phi, p, l),
         profile=profile,
@@ -491,14 +491,20 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
     class A = a_div, for squarefree k whose prime factors are all = 1 mod 8
     and pairwise quadratic residues.
 
-    With B = k/A and alpha any primary Gaussian integer of norm A, a point
-    forces all four of:
+    With B = k/A and alpha the product of the primary primes over the
+    primes of A, a point forces all four of:
       A_octic_trivial:            (-4/A)_8 = +1
       alpha_trivial_over_B:       [alpha/pi] = +1 for every pi | B
       A_octic_matches_B_quartic:  (-4/p)_8 = (B/p)_4 for every p | A
-      cofactor_symbols_trivial:   [alpha/pi . pi^-1 /pi] = +1 for pi | alpha
-    Evaluated over every primary alpha of norm A (all conjugation patterns
-    of its prime factors), combined with logical and.
+      cofactor_symbols_trivial:   [alpha/g . g^-1 / g] = +1 for g | alpha
+
+    This one alpha decides the conditions for every primary alpha of norm
+    A, that is for every choice of conjugates of its prime factors. For pi
+    over a prime r of k other than N(g), [g/pi][gbar/pi] = [N(g)/pi] =
+    (N(g)/r) = +1 by the mutual residues, so flipping a factor g of alpha
+    to gbar changes no symbol mod pi. For the cofactor x = alpha/g,
+    flipping the modulus g itself gives [x/gbar] = [xbar/g], and xbar is x
+    with every factor flipped, so again [xbar/g] = [x/g].
     """
     f = factor(k)
     ps = [q for q, _ in f.factors]
@@ -514,26 +520,17 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
     a_primes = [q for q in ps if a_div % q == 0]
     b_primes = [q for q in ps if b_div % q == 0]
     primary = {q: primary_associate(split_prime(q, GAUSS)) for q in ps}
-    base = [primary[q] for q in a_primes]
+    parts = [primary[q] for q in a_primes]  # the prime factors of alpha
     one = QuadInt(GAUSS, 1, 0)
-    # the prime factors of each alpha, one list per conjugation pattern
-    alphas = [
-        [g.conj() if (mask >> i) & 1 else g for i, g in enumerate(base)]
-        for mask in range(1 << len(base))
-    ]
+    alpha = prod(parts, start=one)
     cond1 = octic_minus4_product(a_div) == 1
-    cond2 = all(
-        ring_symbol(prod(parts, start=one), primary[q]) == 1
-        for q in b_primes
-        for parts in alphas
-    )
+    cond2 = all(ring_symbol(alpha, primary[q]) == 1 for q in b_primes)
     cond3 = all(
         octic_minus4(q) == quartic_symbol_product(b_div, q) for q in a_primes
     )
     cond4 = all(
-        ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), piq) == 1
-        for parts in alphas
-        for i, piq in enumerate(parts)
+        ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), g) == 1
+        for i, g in enumerate(parts)
     )
     return {
         "A_octic_trivial": cond1,

@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
+from operator import mul
 
 from .arith import factor
 from .criteria import classify_auto, selmer_rank_bound
 from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
-from .sqclass import SquareClassGroup
+from .sqclass import SquareClassGroup, _extend, squarefree_mul
 
 PSI = "psi"
 PHI = "phi"
@@ -60,22 +61,19 @@ def _torsor_constant(k: int, side: str) -> int:
 
 
 def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
-    """All candidate b1 classes for the given isogeny side, keyed by b1.
+    """All candidate b1 classes for the given isogeny side, keyed by b1 in
+    the group order (|b1|, b1 < 0).
 
     psi: b1 runs over +-(squarefree divisors of k); phi: over the positive
     squarefree divisors of the torsor constant's radical, which is that of
     2k for odd k and that of k^2/4 for even k (it contains 2 when 4 | k).
     """
     const = _torsor_constant(k, side)
-    divisors = [1]
-    for q, _ in factor(const).factors:
-        divisors += [d * q for d in divisors]
-    signs = (1, -1) if side == PSI else (1,)
-    return {
-        s * d: Torsor(side, s * d, const // (s * d))
-        for d in sorted(divisors)
-        for s in signs
-    }
+    # -1 and the primes are independent classes, so plain products multiply
+    signs = [-1] if side == PSI else []
+    classes = {1}
+    _extend(classes, signs + [q for q, _ in factor(const).factors], mul)
+    return {b1: Torsor(side, b1, const // b1) for b1 in SquareClassGroup(frozenset(classes))}
 
 
 # --- local solvability ----------------------------------------------------
@@ -382,22 +380,23 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 raise InconsistentCriteria(
                     f"torsion class {b1} missing from the {side} Selmer group"
                 )
-        current = SquareClassGroup.span(*gens)
+        w = {1}  # W, grown in place by each class with a point
+        _extend(w, gens, squarefree_mul)
         # the largest W the certificates allow
-        cert_dim_bound = selmer[side].dim - sha_cert[side].dim
+        cert_size_bound = len(selmer[side]) // len(sha_cert[side])
         # Selmer classes in torsor order: by |b1|, then b1 before -b1
         for b1 in selmer[side]:
-            if current.dim >= cert_dim_bound:
+            if len(w) >= cert_size_bound:
                 break
-            if b1 in current or b1 in sha_cert[side]:
-                continue  # class 1 is in current; certified classes are obstructed
+            if b1 in w or b1 in sha_cert[side]:
+                continue  # class 1 is in w; certified classes are obstructed
             if side == PHI and w_phi_cap is not None and b1 not in w_phi_cap:
                 continue
             pts = search_points(Torsor(side, b1, const // b1), height, stop_at_first=True)
             if pts:
                 witnesses[side][b1] = pts[0]
-                gens.append(b1)
-                current = SquareClassGroup.span(*gens)
+                _extend(w, [b1], squarefree_mul)
+        current = SquareClassGroup(frozenset(w))
         for b1 in current:
             if b1 in sha_cert[side] and b1 != 1:
                 raise InconsistentCriteria(

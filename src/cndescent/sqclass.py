@@ -8,7 +8,7 @@ from functools import cache
 from math import gcd
 from operator import xor
 
-from .errors import NotAGroup
+from .errors import NotAGroup, PreconditionUnmet
 
 
 def squarefree_mul(a: int, b: int) -> int:
@@ -17,17 +17,20 @@ def squarefree_mul(a: int, b: int) -> int:
     return (a // g) * (b // g)
 
 
-def _double(generators, mul, one) -> set:
-    """Span by doubling: G <- G u gG for each g not yet in G.
+def _extend(group: set, candidates, mul) -> list:
+    """Grow `group` in place by the candidates in order, G <- G u gG for
+    each g not yet in G, and return the candidates that grew it: a basis of
+    the new G over the old one.
 
     In an elementary abelian 2-group, G u gG is again a group, so no
-    closure pass is needed after a generator.
+    closure pass is needed after a candidate.
     """
-    elems = {one}
-    for g in generators:
-        if g not in elems:
-            elems |= {mul(g, e) for e in elems}
-    return elems
+    basis = []
+    for g in candidates:
+        if g not in group:
+            group |= {mul(g, e) for e in group}
+            basis.append(g)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,9 @@ class SquareClassGroup:
     def span(*generators: int) -> "SquareClassGroup":
         if 0 in generators:
             raise ValueError("0 is not a square class")
-        return SquareClassGroup(frozenset(_double(generators, squarefree_mul, 1)))
+        group = {1}
+        _extend(group, generators, squarefree_mul)
+        return SquareClassGroup(frozenset(group))
 
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
@@ -59,12 +64,12 @@ class SquareClassGroup:
         # the span of elems equals elems iff elems is closed; checking each
         # product as it is formed keeps the span inside elems, at most
         # len(elems) - 1 products
-        _double(elems, mul, 1)
+        _extend({1}, elems, mul)
         return SquareClassGroup(elems)
 
     @staticmethod
     def trivial() -> "SquareClassGroup":
-        return SquareClassGroup(frozenset({1}))
+        return _TRIVIAL
 
     def __contains__(self, x: int) -> bool:
         return x in self.elements
@@ -87,14 +92,7 @@ class SquareClassGroup:
 
     def generators(self) -> tuple[int, ...]:
         """Canonical minimal generating set: greedy by (|x|, sign)."""
-        gens: list[int] = []
-        span = {1}
-        for x in self:
-            if x in span:
-                continue
-            gens.append(x)
-            span |= {squarefree_mul(x, e) for e in span}
-        return tuple(gens)
+        return tuple(_extend({1}, self, squarefree_mul))
 
     def describe(self) -> str:
         if len(self.elements) == 1:
@@ -102,40 +100,61 @@ class SquareClassGroup:
         return "<" + ", ".join(str(g) for g in self.generators()) + ">"
 
 
+_TRIVIAL = SquareClassGroup(frozenset({1}))  # shared: the group is immutable
+
+
 # --- the label group over (2, p, l) -------------------------------------------
 
 # the classes {1, 2, p, 2p, l, 2l, pl, 2pl} mod squares; a label's index is
 # its 3-bit mask over the basis (2, p, l), so the product is XOR
 LABELS = ("1", "2", "p", "2p", "l", "2l", "pl", "2pl")
-_MASK = {s: m for m, s in enumerate(LABELS)}
+
+# each label's 4-bit mask over the basis (-1, 2, p, l) of the concrete group
+_CONCRETE_MASK = {"-1": 1, **{s: m << 1 for m, s in enumerate(LABELS)}}
 
 
 def label_span(labels) -> frozenset[str]:
-    """The subgroup of the label group generated by the given labels."""
-    return frozenset(LABELS[m] for m in _double((_MASK[s] for s in labels), xor, 0))
+    """The subgroup of the label group generated by the given labels.
+
+    Raises PreconditionUnmet for a label outside LABELS, "-1" included.
+    """
+    masks = _span_masks(frozenset(labels))
+    if 1 in masks:
+        raise PreconditionUnmet('"-1" is not a label over (2, p, l)')
+    return frozenset(LABELS[m >> 1] for m in masks)
 
 
-# each label's 4-bit mask over the basis (-1, 2, p, l) of the concrete group
-_CONCRETE_MASK = {"-1": 1, **{s: m << 1 for s, m in _MASK.items()}}
+def _label_mul(a: str, b: str) -> str:
+    """The product of two labels over (2, p, l)."""
+    return LABELS[LABELS.index(a) ^ LABELS.index(b)]
 
 
 def concretize(labels, p: int, l: int) -> SquareClassGroup:
     """The concrete group spanned by label generators at primes p, l.
 
-    Accepts "-1" besides the labels over (2, p, l), for the psi side.
+    Accepts "-1" besides the labels over (2, p, l), for the psi side, and
+    raises PreconditionUnmet for any other label.
     p and l must be distinct odd primes: then -1, 2, p, l are independent
     modulo squares, the group is the XOR span of the labels' masks over
     them, and each mask's class is the product of its basis elements.
     """
+    masks = _span_masks(frozenset(labels))
+    if len(masks) == 1:
+        return _TRIVIAL
     pl = p * l
     values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
               l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
-    masks = _span_masks(frozenset(labels).intersection(_CONCRETE_MASK))
     return SquareClassGroup(frozenset([values[m] for m in masks]))
 
 
 @cache
 def _span_masks(labels: frozenset[str]) -> tuple[int, ...]:
-    """The sorted masks of the span of known labels, at most 2^9 sets;
-    sorted so the ints enter the frozenset in one order in every process."""
-    return tuple(sorted(_double((_CONCRETE_MASK[s] for s in labels), xor, 0)))
+    """The sorted masks of the span of the labels, at most 2^9 sets, checked
+    once per set; sorted so the ints enter the frozenset in one order in
+    every process."""
+    unknown = labels - _CONCRETE_MASK.keys()
+    if unknown:
+        raise PreconditionUnmet(f"unknown class labels {sorted(unknown)}")
+    masks = {0}
+    _extend(masks, (_CONCRETE_MASK[s] for s in labels), xor)
+    return tuple(sorted(masks))

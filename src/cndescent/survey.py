@@ -323,7 +323,8 @@ def check_grid_row(i: int, row: GridRow) -> tuple[CheckLine, CheckLine]:
     pc = classify_profile(row.profile)
     w_span = label_span(row.w_phi)
     ok_w = pc.w_phi == w_span
-    ok_psi = pc.sha_psi_dim == len(row.sha_psi)
+    psi_span = label_span(row.sha_psi)
+    ok_psi = pc.sha_psi == psi_span
     ok_rank = pc.rank_bound == row.rank_bound
     # the printed complement must be a genuine certificate: disjoint
     # from the solvable classes and of complementary dimension
@@ -334,8 +335,9 @@ def check_grid_row(i: int, row: GridRow) -> tuple[CheckLine, CheckLine]:
     )
     detail = (
         f"W {sorted(pc.w_phi)} vs {sorted(w_span)}; "
-        f"sha_psi dim {pc.sha_psi_dim} vs {len(row.sha_psi)}; "
-        f"rank {pc.rank_bound} vs {row.rank_bound}; comp {sorted(comp)}"
+        f"sha_psi dim {pc.sha_psi_dim} vs {len(row.sha_psi)}"
+        + ("" if ok_psi else f" ({sorted(pc.sha_psi)} vs {sorted(psi_span)})")
+        + f"; rank {pc.rank_bound} vs {row.rank_bound}; comp {sorted(comp)}"
     )
     pr = residue_profile(*row.example)
     return (

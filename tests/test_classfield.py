@@ -17,7 +17,6 @@ from cndescent.classfield import (
     fourth_power_class_test,
     fundamental_unit,
     pell_solvable,
-    quad_field_data,
     represented_value,
     scholz_case,
     strict_two_principal,
@@ -83,6 +82,7 @@ def test_pell_fixtures():
     assert pell_solvable(34, -2) is None
     assert pell_solvable(2, -1) == (1, 1)
     assert pell_solvable(146, -2) == (12, 1)
+    assert pell_solvable(82, 2) is None
 
 
 def test_pell_solutions_check_out():
@@ -341,15 +341,3 @@ def test_wide_principality_of_two_matches_unit_norm():
         assert wide == (fundamental_unit(2 * l)[2] == 1), l
     assert fundamental_unit(2)[2] == -1
     assert pell_solvable(2, 2) == (2, 1)
-
-
-def test_quad_field_data_record():
-    d17 = quad_field_data(17)
-    assert d17.eps == (35, 6)
-    assert (d17.norm_eps, d17.h, d17.h_plus) == (1, 2, 4)
-    assert d17.two_strict_principal is True
-
-    d41 = quad_field_data(41)
-    assert d41.eps == (9, 1)
-    assert (d41.norm_eps, d41.h, d41.h_plus) == (-1, 4, 4)
-    assert d41.two_strict_principal is False

@@ -3,8 +3,9 @@
 import dataclasses
 import json
 
-from cndescent import cli
+from cndescent import cli, survey
 from cndescent.cli import main
+from cndescent.survey import check_grid_row, verify_reference
 
 
 def run(capsys, argv):
@@ -89,6 +90,26 @@ def test_grid_verify_flags_a_wrong_w_column(capsys, monkeypatch):
     rows = json.loads(out)
     assert rows[0]["verified"] is False
     assert all(r["verified"] for r in rows[1:])
+
+
+def test_grid_verify_flags_a_wrong_psi_column(capsys, monkeypatch):
+    # row 4 certifies Sha^psi = <p>; <2l> has the same dimension
+    grid = list(cli.REFERENCE_GRID)
+    assert grid[3].sha_psi == ("p",)
+    grid[3] = dataclasses.replace(grid[3], sha_psi=("2l",))
+    assert not check_grid_row(4, grid[3])[0].passed
+    assert check_grid_row(4, cli.REFERENCE_GRID[3])[0].passed
+    monkeypatch.setattr(cli, "REFERENCE_GRID", tuple(grid))
+    code, out = run(capsys, ["grid", "--verify", "--json"])
+    assert code == 1
+    rows = json.loads(out)
+    assert [r["row"] for r in rows if not r["verified"]] == [4]
+    code, out = run(capsys, ["grid", "--verify"])
+    assert code == 1
+    assert out.split("\n")[3].endswith("  MISMATCH")
+    monkeypatch.setattr(survey, "REFERENCE_GRID", tuple(grid))
+    report = verify_reference()
+    assert [c.name for c in report.checks if not c.passed] == ["grid row 4"]
 
 
 def test_survey_stdout(capsys):

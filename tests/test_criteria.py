@@ -1,6 +1,10 @@
 """Residue-symbol criteria: profiles, the 32-row grid, family classifiers,
 coprime-squares relations, and witness coherence."""
 
+import itertools
+import random
+from math import prod
+
 import pytest
 
 from cndescent import arith, criteria, quadring
@@ -30,7 +34,15 @@ from cndescent.criteria import (
 )
 from cndescent.descent import PSI, Torsor, descend, search_points
 from cndescent.errors import FamilyMismatch, HypothesisViolated
-from cndescent.quadring import SQRT2, symbol_capital
+from cndescent.quadring import (
+    GAUSS,
+    SQRT2,
+    QuadInt,
+    primary_associate,
+    ring_symbol,
+    split_prime,
+    symbol_capital,
+)
 from cndescent.sqclass import SquareClassGroup
 
 
@@ -405,6 +417,63 @@ def test_phi_divisor_conditions_match_class_table(p, l):
         assert all(res.values()) == phi_class_holds(cls_name, profile), (
             p, l, a_div, res,
         )
+
+
+def reference_phi_divisor_conditions(k, a_div):
+    """phi_divisor_conditions evaluated over every primary alpha of norm A,
+    one per conjugation pattern of its prime factors, joined by logical and."""
+    ps = [q for q, _ in arith.factor(k).factors]
+    b_div = k // a_div
+    a_primes = [q for q in ps if a_div % q == 0]
+    b_primes = [q for q in ps if b_div % q == 0]
+    primary = {q: primary_associate(split_prime(q, GAUSS)) for q in ps}
+    base = [primary[q] for q in a_primes]
+    one = QuadInt(GAUSS, 1, 0)
+    alphas = [
+        [g.conj() if (mask >> i) & 1 else g for i, g in enumerate(base)]
+        for mask in range(1 << len(base))
+    ]
+    return {
+        "A_octic_trivial": arith.octic_minus4_product(a_div) == 1,
+        "alpha_trivial_over_B": all(
+            ring_symbol(prod(parts, start=one), primary[q]) == 1
+            for q in b_primes
+            for parts in alphas
+        ),
+        "A_octic_matches_B_quartic": all(
+            octic_minus4(q) == arith.quartic_symbol_product(b_div, q) for q in a_primes
+        ),
+        "cofactor_symbols_trivial": all(
+            ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), piq) == 1
+            for parts in alphas
+            for i, piq in enumerate(parts)
+        ),
+    }
+
+
+def test_phi_divisor_conditions_match_all_patterns():
+    """One alpha gives what every conjugation pattern gives, on every
+    divisor of 100 sets each of 2, 3 and 4 mutual-residue primes drawn from
+    the first 60 primes = 1 mod 8."""
+    pool = primes_with(1, 8, 60, start=17)
+    rng = random.Random(18)
+    cases = 0
+    for size in (2, 3, 4):
+        drawn = 0
+        while drawn < 100:
+            ps = sorted(rng.sample(pool, size))
+            if any(jacobi(q, r) != 1 for q, r in itertools.combinations(ps, 2)):
+                continue
+            drawn += 1
+            k = prod(ps)
+            for n in range(size + 1):
+                for sub in itertools.combinations(ps, n):
+                    a_div = prod(sub)
+                    assert phi_divisor_conditions(k, a_div) == (
+                        reference_phi_divisor_conditions(k, a_div)
+                    ), (ps, a_div)
+                    cases += 1
+    assert cases == 100 * (4 + 8 + 16)
 
 
 def test_phi_divisor_conditions_three_primes():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cndescent
 from cndescent import cli, descent
-from cndescent.arith import factor, primes_in
+from cndescent.arith import factor, jacobi, primes_in
 from cndescent.descent import (
     PHI,
     PSI,
@@ -437,6 +437,78 @@ def test_descend_17_consistent():
     assert rep.w_phi <= rep.selmer_phi
 
 
+def _f2_rank(rows: list[int]) -> int:
+    """Rank over F2 of a matrix given as one bitmask per row."""
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def monsky_s(k: int) -> int:
+    """Monsky's 2-Selmer rank s(k) = dim Sel_2(E_k) - 2 for squarefree k with
+    an odd prime factor (appendix to D. R. Heath-Brown, Invent. Math. 118
+    (1994)): 2t minus the F2 rank of a 2t x 2t matrix over the t odd primes
+    p_i of k.
+
+    With [u/p] = 0 or 1 as u is or is not a square mod p, A has entries
+    [p_j/p_i] off the diagonal and each row's sum on it, and D_u is the
+    diagonal matrix of the [u/p_i]. The matrix is [[A+D_2, D_2], [D_2,
+    A+D_-2]] for odd k and [[D_2, A+D_2], [A^T+D_2, D_-1]] for even k.
+    """
+    ps = [q for q, _ in factor(k).factors if q != 2]
+    t = len(ps)
+
+    def bit(u, q):
+        return int(jacobi(u, q) == -1)
+
+    a = [[bit(pj, pi) if i != j else 0 for j, pj in enumerate(ps)] for i, pi in enumerate(ps)]
+    for i in range(t):
+        a[i][i] = sum(a[i]) % 2
+
+    def d(u):
+        return [[bit(u, pi) if i == j else 0 for j in range(t)] for i, pi in enumerate(ps)]
+
+    def add(x, y):
+        return [[(u + v) % 2 for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+    a_t = [list(col) for col in zip(*a)]
+    if k % 2:
+        blocks = ((add(a, d(2)), d(2)), (d(2), add(a, d(-2))))
+    else:
+        blocks = ((d(2), add(a, d(2))), (add(a_t, d(2)), d(-1)))
+    rows = [
+        int("".join(map(str, left[i] + right[i])), 2)
+        for left, right in blocks
+        for i in range(t)
+    ]
+    return 2 * t - _f2_rank(rows)
+
+
+def test_descent_agrees_with_monsky_selmer_rank():
+    """Against Monsky's closed form, on every squarefree k < 1000 with an odd
+    prime factor: the found rank is at most s(k); the 2-isogeny bound
+    dim Sel^psi + dim Sel^phi - 2 exceeds s(k) by 0 or 2; and s(k) is odd
+    exactly when k = 5, 6, 7 mod 8. These are facts checked over this
+    range, not theorems the test relies on."""
+    ks = [k for k in range(3, 1000) if factor(k).squarefree_part() == k]
+    assert len(ks) == 606
+    gaps = []
+    for k in ks:
+        s = monsky_s(k)
+        rep = descend(k, 200)
+        assert rep.rank_lower <= s, k
+        gap = rep.selmer_psi.dim + rep.selmer_phi.dim - 2 - s
+        assert gap in (0, 2), k
+        assert (s % 2 == 1) == (k % 8 in (5, 6, 7)), k
+        gaps.append(gap)
+    assert gaps.count(0) == 571
+
+
 def test_descend_enumerates_each_side_once(monkeypatch):
     calls = []
 
@@ -548,7 +620,7 @@ def test_hard_inputs_finish_in_bounded_memory():
 
 
 def test_profile_classification_repr_does_not_follow_the_string_hash():
-    # w_phi and sha_phi_complement are frozensets of labels
+    # sha_psi, w_phi and sha_phi_complement are frozensets of labels
     code = (
         "from cndescent.criteria import classify_profile, residue_profile\n"
         "print(repr(classify_profile(residue_profile(17, 89))))"

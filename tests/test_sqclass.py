@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cndescent.criteria import PHI_CLASSES
-from cndescent.errors import NotAGroup
+from cndescent.errors import NotAGroup, PreconditionUnmet
 from cndescent.sqclass import SquareClassGroup, concretize, label_span, squarefree_mul
 
 
@@ -135,3 +135,16 @@ def test_concretize_matches_span_on_every_label_subset():
                 want = SquareClassGroup.span(*(value[s] for s in sub))
                 assert concretize(sub, p, l) == want, (p, l, sub)
                 assert concretize(frozenset(sub), p, l) == want, (p, l, sub)
+
+
+def test_concretize_rejects_an_unknown_label():
+    with pytest.raises(PreconditionUnmet, match="'x'"):
+        concretize(("-1", "x"), 3, 11)
+
+
+def test_label_span_rejects_an_unknown_label():
+    with pytest.raises(PreconditionUnmet, match="'x'"):
+        label_span(("x",))
+    # "-1" is a concrete class, not a label over (2, p, l)
+    with pytest.raises(PreconditionUnmet, match='"-1"'):
+        label_span(("p", "-1"))
