@@ -317,12 +317,16 @@ def factor(n: int) -> FactoredInteger:
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
     """The least square root of a mod the prime p, min(r, p - r), or None
-    when a is a non-residue. Tonelli-Shanks.
+    when a is a non-residue. Tonelli-Shanks. Raises BadResidueClass unless
+    p is prime.
 
-    `split_prime` depends on which root it gets: its Euclid gcd of p and
-    r - omega gives the conjugate prime for the other root, so the split
-    it reports, and every symbol built on it, is fixed by taking the least.
+    `classfield.fourth_power_class_test` calls it to build a form of
+    discriminant 8l that represents p. The tests use it as the oracle for
+    the closed-form root of omega^2 that `split_prime` takes, which must
+    be this least root.
     """
+    if not is_prime(p):
+        raise BadResidueClass(f"sqrt_mod_prime needs a prime modulus, got {p}")
     a %= p
     if a == 0 or p == 2:
         return a

@@ -39,6 +39,7 @@ from .errors import (
     FamilyMismatch,
     HypothesisViolated,
     InconsistentCriteria,
+    UndefinedSymbol,
 )
 from .quadring import (
     GAUSS,
@@ -104,16 +105,19 @@ def residue_profile(p: int, l: int) -> ResidueProfile:
     recently used checked primes, so a survey, where hundreds of pairs
     share each prime, splits each prime once and computes only [P/L] and
     the two quartic symbols per pair.
+
+    (p/l) is not computed apart: p = 1 mod 4 gives (p/l) = (l/p), and
+    (l/p)_4 is defined exactly when (l/p) = +1.
     """
     if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
-    if jacobi(p, l) != 1:
-        raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1")
+    try:
+        a = _quartic(l, p)
+    except UndefinedSymbol:
+        raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1") from None
     P, c = _prime_record(p)
     L, d = _prime_record(l)
-    return ResidueProfile(
-        pi=_symbol(P, L, SQRT2.omega2), a=_quartic(l, p), b=_quartic(p, l), c=c, d=d
-    )
+    return ResidueProfile(pi=_symbol(P, L, SQRT2.omega2), a=a, b=_quartic(p, l), c=c, d=d)
 
 
 ALL_PROFILES = tuple(ResidueProfile(*signs) for signs in product((1, -1), repeat=5))

@@ -14,8 +14,9 @@ check the arguments, call the kernels and box the results in `QuadInt`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
-from .arith import is_prime, jacobi, sqrt_mod_prime
+from .arith import is_prime, jacobi
 from .errors import (
     BadResidueClass,
     CompositeModulus,
@@ -105,15 +106,54 @@ def _require_prime(p: int) -> None:
         raise BadResidueClass(f"split_prime needs a prime, got {p}")
 
 
+def _root(p: int, w2: int) -> int:
+    """The least square root of omega^2 mod the prime p, min(r, p - r), by a
+    closed form; Inert when omega^2 is a non-residue or p = 2.
+
+    For p = 1 mod 8, let z be the least odd non-residue; it is prime, since
+    a product of residues is a residue, and it is the least non-residue,
+    since 2 is a residue. Then c = z^((p-1)/8) has c^4 = (z/p) = -1, so
+    zeta = c is a primitive 8th root of unity, zeta^2 = i with i^2 = -1,
+    and zeta^-1 = -zeta^3. As (zeta +- zeta^-1)^2 = +-2 + (i + i^-1) and
+    i + i^-1 = 0, the roots are zeta^2 of -1, zeta - zeta^3 of 2 and
+    zeta + zeta^3 of -2. Another non-residue would give the same answer,
+    since min(r, p - r) removes the sign; the search stops at the first.
+
+    The other split classes take one power each: p = 5 mod 8 has
+    (2/p) = -1, so r = 2^((p-1)/4) has r^2 = -1; p = 7 mod 8 has
+    (2/p) = +1 and p = 3 mod 4, so r = 2^((p+1)/4) has r^2 = 2; p = 3
+    mod 8 has (-2/p) = +1 and p = 3 mod 4, so r = (-2)^((p+1)/4) has
+    r^2 = -2. Every other class is inert: -1 needs p = 1 mod 4, 2 needs
+    p = +-1 mod 8 and -2 needs p = 1 or 3 mod 8.
+    """
+    m = p % 8
+    if m == 1:
+        e = (p - 1) // 8
+        for z in count(3, 2):
+            c = pow(z, e, p)
+            c2 = c * c % p
+            if c2 * c2 % p == p - 1:
+                break
+        c3 = c * c2
+        r = c2 if w2 == -1 else (c - c3 if w2 == 2 else c + c3) % p
+    elif m == 5 and w2 == -1:
+        r = pow(2, (p - 1) // 4, p)
+    elif m == 7 and w2 == 2:
+        r = pow(2, (p + 1) // 4, p)
+    elif m == 3 and w2 == -2:
+        r = pow(p - 2, (p + 1) // 4, p)
+    else:
+        raise Inert(f"{p} does not split in {_RING[w2]}")
+    return min(r, p - r)
+
+
 def _split(p: int, w2: int) -> tuple[int, int]:
     """`split_prime` on ints, for a prime p: Euclid's gcd of p and r - omega.
 
     The quotient of x by y is x * conj(y) / N(y) rounded coordinatewise to
     the nearest integer, ties toward +infinity.
     """
-    r = None if p == 2 else sqrt_mod_prime(w2, p)
-    if r is None:
-        raise Inert(f"{p} does not split in {_RING[w2]}")
+    r = _root(p, w2)
     xa, xb, ya, yb = p, 0, r, -1
     while ya or yb:
         n = ya * ya - w2 * yb * yb
@@ -129,6 +169,11 @@ def split_prime(p: int, ring: Ring) -> QuadInt:
     Raises Inert unless p is odd and omega^2 is a square mod p, that is
     outside the split residue classes: p = 1 mod 4 for Z[i], p = +-1 mod 8
     for Z[sqrt2], p = 1 or 3 mod 8 for Z[sqrt-2].
+
+    r is the least root of omega^2 mod p, in closed form (`_root`):
+    zeta^2, zeta - zeta^3 or zeta + zeta^3 for an 8th root of unity zeta
+    when p = 1 mod 8, else 2^((p-1)/4), 2^((p+1)/4) or (-2)^((p+1)/4).
+    Taking the least root fixes which conjugate the gcd finds.
 
     The gcd has norm +-p. With r^2 = omega^2 mod p, Z[omega]/(p, r - omega)
     is Z/p, so the ideal (p, r - omega) has norm p. Rounding each
@@ -148,11 +193,14 @@ def _primary(a: int, b: int, w2: int) -> tuple[int, int]:
     exponent| of alpha, then of its conjugate; both share the parities of
     a and b, hence the least exponent. An odd norm makes a odd, except in
     Z[i], where a may be even; then i*x = -b + a*i has a odd instead. Once
-    a is odd and b even, exactly one of +-x is primary. In Z[sqrt2] with b
-    odd, eps2*x = (a+2b) + (a+b)sqrt2 and eps2^-1*x = (2b-a) + (a-b)sqrt2
-    have b even while eps2^+-2*x do not; in Z[sqrt-2] with b odd no unit
-    helps. min is stable, so alpha wins the remaining ties.
+    a is odd and b even, exactly one of +-x is primary, so one test picks
+    the sign. In Z[sqrt2] with b odd, eps2*x = (a+2b) + (a+b)sqrt2 and
+    eps2^-1*x = (2b-a) + (a-b)sqrt2 have b even while eps2^+-2*x do not;
+    in Z[sqrt-2] with b odd no unit helps. min is stable, so alpha wins
+    the remaining ties.
     """
+    if w2 == -2 and b % 2:
+        raise NoPrimaryAssociate(f"no primary associate of {QuadInt(_RING[w2], a, b)}")
     cands = []
     for x, y in ((a, b), (a, -b)):
         if w2 == -1 and x % 2 == 0:
@@ -161,9 +209,7 @@ def _primary(a: int, b: int, w2: int) -> tuple[int, int]:
             bases = ((x + 2 * y, x + y), (2 * y - x, x - y))
         else:
             bases = ((x, y),)
-        cands += [c for u, v in bases for c in ((u, v), (-u, -v)) if _is_primary(*c, w2)]
-    if not cands:
-        raise NoPrimaryAssociate(f"no primary associate of {QuadInt(_RING[w2], a, b)}")
+        cands += [(u, v) if _is_primary(u, v, w2) else (-u, -v) for u, v in bases]
     return min(cands, key=lambda c: (c[0] <= 0, c[1] <= 0))
 
 
@@ -233,9 +279,9 @@ def symbol_capital(p: int, l: int, ring: Ring) -> int:
     """
     if p % 8 != 1 or l % 8 != 1 or p == l:
         raise UndefinedSymbol(f"need distinct primes = 1 mod 8, got {p}, {l}")
-    if jacobi(p, l) != 1:
-        raise UndefinedSymbol(f"[P/L] needs (p/l) = +1, got -1 for ({p}, {l})")
     _require_prime(p)
     _require_prime(l)
+    if jacobi(p, l) != 1:
+        raise UndefinedSymbol(f"[P/L] needs (p/l) = +1, got -1 for ({p}, {l})")
     w2 = ring.omega2
     return _symbol(_primary(*_split(p, w2), w2), _primary(*_split(l, w2), w2), w2)

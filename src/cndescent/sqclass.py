@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from operator import xor
+from operator import itemgetter, xor
 
 from .errors import NotAGroup, PreconditionUnmet
 
@@ -118,7 +118,7 @@ def label_span(labels) -> frozenset[str]:
 
     Raises PreconditionUnmet for a label outside LABELS, "-1" included.
     """
-    masks = _span_masks(frozenset(labels))
+    masks, _ = _span_masks(frozenset(labels))
     if 1 in masks:
         raise PreconditionUnmet('"-1" is not a label over (2, p, l)')
     return frozenset(LABELS[m >> 1] for m in masks)
@@ -138,23 +138,25 @@ def concretize(labels, p: int, l: int) -> SquareClassGroup:
     modulo squares, the group is the XOR span of the labels' masks over
     them, and each mask's class is the product of its basis elements.
     """
-    masks = _span_masks(frozenset(labels))
+    masks, pick = _span_masks(frozenset(labels))
     if len(masks) == 1:
         return _TRIVIAL
     pl = p * l
     values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
               l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
-    return SquareClassGroup(frozenset([values[m] for m in masks]))
+    return SquareClassGroup(frozenset(pick(values)))
 
 
 @cache
-def _span_masks(labels: frozenset[str]) -> tuple[int, ...]:
-    """The sorted masks of the span of the labels, at most 2^9 sets, checked
-    once per set; sorted so the ints enter the frozenset in one order in
-    every process."""
+def _span_masks(labels: frozenset[str]) -> tuple[tuple[int, ...], itemgetter]:
+    """The sorted masks of the span of the labels and an itemgetter over
+    them, at most 2^9 sets, checked once per set; sorted so the ints enter
+    the frozenset in one order in every process. The getter returns a
+    tuple only for two masks or more, the nontrivial spans."""
     unknown = labels - _CONCRETE_MASK.keys()
     if unknown:
         raise PreconditionUnmet(f"unknown class labels {sorted(unknown)}")
     masks = {0}
     _extend(masks, (_CONCRETE_MASK[s] for s in labels), xor)
-    return tuple(sorted(masks))
+    masks = tuple(sorted(masks))
+    return masks, itemgetter(*masks)

@@ -343,6 +343,15 @@ def test_sqrt_mod_prime_against_sympy():
     assert sqrt_mod_prime(8 * 13, 17) == sympy.sqrt_mod(8 * 13, 17)
 
 
+def test_sqrt_mod_prime_rejects_a_composite_modulus():
+    # 2^2 = 4 mod 9, so None would be wrong; modulo 1 every a is 0. The
+    # (-1, 65) case, which never ended, runs in a bounded child in
+    # test_descent.py::test_hard_inputs_finish_in_bounded_memory
+    for a, n in ((4, 9), (2, 1)):
+        with pytest.raises(BadResidueClass):
+            sqrt_mod_prime(a, n)
+
+
 def test_divisors_against_sympy():
     for n in range(1, 5000):
         assert divisors(n) == sympy.divisors(n)

@@ -110,6 +110,21 @@ def test_residue_profile_matches_checked_symbols_on_cold_and_warm_records():
     assert criteria._prime_record.cache_info().currsize == len(ps)
 
 
+def test_residue_profile_reads_the_legendre_symbol_off_the_quartic(monkeypatch):
+    calls = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return jacobi(a, n)
+
+    monkeypatch.setattr(criteria, "jacobi", counted)
+    classify_11_plus(17, 89)
+    assert calls == []
+    with pytest.raises(FamilyMismatch) as err:
+        residue_profile(17, 97)
+    assert str(err.value) == "profile needs (p/l) = +1; (17/97) = -1"
+
+
 def test_classify_11_plus_tests_each_prime_once(monkeypatch):
     calls = []
 

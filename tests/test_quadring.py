@@ -29,6 +29,7 @@ from cndescent.quadring import (
     SQRT2,
     SQRTM2,
     QuadInt,
+    _root,
     primary_associate,
     primary_associate_mod4,
     ring_symbol,
@@ -76,6 +77,22 @@ def test_split_prime_small_exhaustive_agreement():
                 assert abs(g.norm) == p
             else:
                 assert g.norm == p
+
+
+def test_closed_form_root_matches_tonelli_shanks():
+    # the least root of omega^2 in every split class, and Inert exactly where
+    # omega^2 is a non-residue; 2 is inert although sqrt_mod_prime(w2, 2) = 1
+    for p in primes_in(3, 2 * 10**5):
+        for ring in RINGS:
+            want = sqrt_mod_prime(ring.omega2, p)
+            if want is None:
+                with pytest.raises(Inert):
+                    _root(p, ring.omega2)
+            else:
+                assert _root(p, ring.omega2) == want, (p, ring)
+    for ring in RINGS:
+        with pytest.raises(Inert):
+            _root(2, ring.omega2)
 
 
 def test_split_prime_known_values():
@@ -321,6 +338,9 @@ def test_symbol_capital_preconditions():
         symbol_capital(17, 17, SQRT2)
     with pytest.raises(UndefinedSymbol):
         symbol_capital(13, 17, SQRT2)  # 13 not 1 mod 8
+    # primality comes before (p/l), which would find the shared factor 17
+    with pytest.raises(BadResidueClass, match="split_prime needs a prime, got 697"):
+        symbol_capital(17, 697, SQRT2)  # 697 = 17 * 41
 
 
 def _admissible_pairs(bound, count, seed):
