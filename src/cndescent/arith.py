@@ -14,6 +14,7 @@ dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt
 
@@ -277,6 +278,7 @@ def _pollard_brent(n: int) -> int:
 _FACTOR_LIMIT = 10**18
 
 
+@lru_cache(maxsize=256)
 def factor(n: int) -> FactoredInteger:
     """Factor a nonzero integer into FactoredInteger form.
 
@@ -287,6 +289,13 @@ def factor(n: int) -> FactoredInteger:
     largest numbers the package factors are the torsor constants -k^2 and
     4k^2 (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8
     and even k up to 10^9, and raises FactorBudgetExceeded above that.
+
+    Memoized for the last 256 distinct n. A FactoredInteger is frozen and
+    holds only ints and tuples, so every caller can share one result. Every
+    torsor of a side has the same constant b1 b2, so a descend factors three
+    integers, -k^2, the phi constant and k, however many torsors it tests.
+    Errors are not cached: factor(0) or an n over the budget raises on every
+    call.
     """
     if n == 0:
         raise BadResidueClass("cannot factor 0")

@@ -158,7 +158,9 @@ def locally_solvable(b1: int, b2: int) -> bool:
 
     Only q | 2 b1 b2 need checking: elsewhere the reduced curve is a
     smooth genus-1 curve over F_q, has a point by the Hasse bound, and
-    the point lifts.
+    the point lifts. b1 b2 is the side's torsor constant for every torsor
+    of a side, so the memoized `factor` factors it once per side, not
+    once per call.
     """
     if b1 < 0 and b2 < 0:
         return False

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import compress
 from math import gcd, prod
@@ -282,6 +283,32 @@ def test_factor_semiprimes_squares_and_powers():
                 assert factor(7 * p**e).factors == ((7, 1), (p, e))
     p, q = sympy.prevprime(10**6), sympy.nextprime(10**6)
     assert factor(p * q * q).factors == ((p, 1), (q, 2))
+
+
+def test_factor_memo_matches_the_plain_function():
+    """The memo returns what the unmemoized body computes, on a first call
+    and on a repeat; it caches no error; and its results are frozen, which
+    is what makes handing one object to every caller safe."""
+    plain = factor.__wrapped__
+    ns = (
+        1, -1, 2, -2, -12, 2**59, -(3**37),  # units, negatives, small powers
+        1009**5, 65537**3, (10**6 + 3) ** 2, -4 * 4633**2,  # prime powers, squares
+        1009 * 1013, 999983 * 1000003, 10007 * 99999989, 999999937 * 99991,  # rho
+    )
+    for n in ns:
+        first = factor(n)
+        assert first == plain(n), n
+        assert factor(n) is first, n
+    for n, error in ((0, BadResidueClass), (_FACTOR_LIMIT + 1, FactorBudgetExceeded)):
+        for _ in range(3):
+            with pytest.raises(error):
+                factor(n)
+    f = factor(4633)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.factors = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.sign = -1
+    assert factor(4633).factors == ((41, 1), (113, 1))
 
 
 # --- primality, square roots, divisors, prime ranges -------------------------

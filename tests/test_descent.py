@@ -509,6 +509,62 @@ def test_descent_agrees_with_monsky_selmer_rank():
     assert gaps.count(0) == 571
 
 
+def tunnell_counts(n: int) -> tuple[int, int]:
+    """Tunnell's counts (A, B) for squarefree n (J. B. Tunnell, Invent.
+    Math. 72 (1983)): for odd n, the integer solutions of 2x^2 + y^2 + 8z^2
+    = n and of 2x^2 + y^2 + 32z^2 = n; for even n, the same with 4x^2 in
+    place of 2x^2, counted against n/2."""
+    a, m = (2, n) if n % 2 else (4, n // 2)
+
+    def count(c: int) -> int:
+        xs, zs = isqrt(m // a), isqrt(m // c)
+        total = 0
+        for x in range(-xs, xs + 1):
+            for z in range(-zs, zs + 1):
+                r = m - a * x * x - c * z * z
+                if r >= 0 and isqrt(r) ** 2 == r:
+                    total += 1 if r == 0 else 2  # y = 0, or y = +-sqrt(r)
+        return total
+
+    return count(8), count(32)
+
+
+def test_descent_agrees_with_tunnell():
+    """Against Tunnell's theorem, on every squarefree k < 1000. A congruent
+    k has A = 2B (unconditional, by Coates-Wiles), so every k whose descent
+    found a point of infinite order (205 k) has A = 2B. Every k whose rank
+    bound is 0 (166 k) has A != 2B; that rests on the converse, which needs
+    the Birch and Swinnerton-Dyer conjecture, so it is a fact checked over
+    this range, not a theorem the test relies on."""
+    ks = [k for k in range(1, 1000) if factor(k).squarefree_part() == k]
+    assert len(ks) == 608
+    witnessed = bounded = 0
+    for k in ks:
+        rep = descend(k, 200)
+        a, b = tunnell_counts(k)
+        if rep.rank_lower > 0:
+            assert a == 2 * b, k
+            witnessed += 1
+        if rep.rank_upper == 0:
+            assert a != 2 * b, k
+            bounded += 1
+    assert (witnessed, bounded) == (205, 166)
+
+
+def test_descend_factors_each_integer_once():
+    """Every torsor of a side has the same constant b1 b2, so through the
+    memoized factor a descend factors three integers once each: -k^2, the
+    phi constant k^2/4 and k (for the torsion classes and the criteria)."""
+    k = 30030
+    factor.cache_clear()
+    descend(k, 50)
+    done = factor.cache_info()
+    assert done.misses == 3 and done.hits > 100
+    for n in (-k * k, k * k // 4, k):
+        factor(n)
+    assert factor.cache_info().misses == 3
+
+
 def test_descend_enumerates_each_side_once(monkeypatch):
     calls = []
 
