@@ -4,20 +4,13 @@ The package computes Selmer groups by checking local solvability of the
 descent torsors, certifies elements of the Tate-Shafarevich group through
 residue-symbol criteria, and turns the two into rank bounds: when the
 upper bound is zero, k is certified non-congruent. Everything decidable
-by symbols alone lives in `criteria`; `classfield` provides independent
-class-group oracles for the same predicates; `survey` scales the
-classification over families and carries the frozen reference data.
+by symbols alone lives in `criteria`; `survey` scales the classification
+over families and carries the frozen reference data. The class-group
+oracles those symbols are checked against are test code, in
+`tests/classfield_oracle.py`.
 """
 
 from .arith import half_symbols, jacobi, octic_minus4, primes_in, quartic_symbol
-from .classfield import (
-    form_class_group,
-    fourth_power_class_test,
-    fundamental_unit,
-    pell_solvable,
-    scholz_case,
-    strict_two_principal,
-)
 from .criteria import (
     ALL_PROFILES,
     Classification,
@@ -91,26 +84,20 @@ __all__ = [
     "decompose_psi_point",
     "descend",
     "enumerate_torsors",
-    "form_class_group",
-    "fourth_power_class_test",
-    "fundamental_unit",
     "half_symbols",
     "jacobi",
     "locally_solvable",
     "octic_minus4",
-    "pell_solvable",
     "primary_associate",
     "primes_in",
     "quartic_symbol",
     "residue_profile",
     "ring_symbol",
     "run_survey",
-    "scholz_case",
     "search_points",
     "selmer_group",
     "smallest_example",
     "split_prime",
-    "strict_two_principal",
     "symbol_capital",
     "verify_reference",
 ]

@@ -5,10 +5,10 @@ Jacobi: the quartic residue symbol (a/l)_4 for l = 1 mod 4, the octic
 character (-4/p)_8 for p = 1 mod 8, and the two half symbols (2/l)_4 and
 (l/2)_4. All of them take values in {+1, -1}; anything else raises.
 
-Primality, factoring, square roots mod p, divisors and prime ranges are
-plain-int code with the standard methods (Cohen, A Course in Computational
-Algebraic Number Theory, 1.5 and 8.2), so the package has no runtime
-dependency.
+Primality, factoring and prime ranges are plain-int code with the
+standard methods (Cohen, A Course in Computational Algebraic Number
+Theory, 8.2), so the package has no runtime dependency. Square roots mod p
+live in `quadring` as a closed form for the three rings' omega^2.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ def octic_minus4(p: int) -> int:
 def _octic(p: int) -> int:
     """`octic_minus4` for a prime p = 1 mod 8, unchecked."""
     return 1 if pow(-4 % p, (p - 1) // 8, p) == 1 else -1
-
-
-def octic_minus4_product(n: int) -> int:
-    """(-4/n)_8 for n a product of primes = 1 mod 8, defined multiplicatively."""
-    result = 1
-    for q, e in factor(n).factors:
-        result *= octic_minus4(q) ** e
-    return result
 
 
 def half_symbols(l: int) -> tuple[int, int]:
@@ -323,43 +315,3 @@ def factor(n: int) -> FactoredInteger:
             stack += [d, m // d]
     return FactoredInteger(sign, tuple(sorted(exps.items())))
 
-
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """The least square root of a mod the prime p, min(r, p - r), or None
-    when a is a non-residue. Tonelli-Shanks. Raises BadResidueClass unless
-    p is prime.
-
-    `classfield.fourth_power_class_test` calls it to build a form of
-    discriminant 8l that represents p. The tests use it as the oracle for
-    the closed-form root of omega^2 that `split_prime` takes, which must
-    be this least root.
-    """
-    if not is_prime(p):
-        raise BadResidueClass(f"sqrt_mod_prime needs a prime modulus, got {p}")
-    a %= p
-    if a == 0 or p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    s = ((p - 1) & (1 - p)).bit_length() - 1
-    q = (p - 1) >> s
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, t * t % p
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return min(r, p - r)
-
-
-def divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, ascending."""
-    ds = [1]
-    for q, e in factor(n).factors:
-        ds = [d * q**i for d in ds for i in range(e + 1)]
-    return sorted(ds)

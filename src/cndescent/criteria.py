@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .arith import (
@@ -31,7 +31,6 @@ from .arith import (
     is_prime,
     jacobi,
     octic_minus4,
-    octic_minus4_product,
     quartic_symbol,
     quartic_symbol_product,
 )
@@ -171,10 +170,12 @@ def psi_obstructed(profile: ResidueProfile) -> bool:
 PHI_CLASSES = LABELS[1:]
 
 
-def _phi_classes(profile: ResidueProfile) -> dict[str, bool]:
-    """The necessary condition of each phi class."""
+def phi_pass_classes(profile: ResidueProfile) -> frozenset[str]:
+    """The phi classes, named by their b1 = 1 mod squares representative in
+    terms of 2, p, l, whose necessary profile condition for a rational point
+    on the torsor holds."""
     pi, a, b, c, d = profile
-    return {
+    holds = {
         "2": c == 1 and d == 1 and pi == 1,
         "p": b == 1 and a == 1 and c == 1,
         "2p": a * b == d and c == 1 and pi == a,
@@ -183,20 +184,7 @@ def _phi_classes(profile: ResidueProfile) -> dict[str, bool]:
         "pl": a == b and c == 1 and d == 1,
         "2pl": a * b == c and c == d and pi == 1,
     }
-
-
-def phi_class_holds(cls: str, profile: ResidueProfile) -> bool:
-    """Necessary profile conditions for a rational point on the phi-side
-    torsor of the given class (classes named by their b1 = 1 mod squares
-    representative in terms of 2, p, l)."""
-    try:
-        return _phi_classes(profile)[cls]
-    except KeyError:
-        raise ValueError(f"unknown phi class {cls!r}") from None
-
-
-def phi_pass_classes(profile: ResidueProfile) -> frozenset[str]:
-    return frozenset(c for c, holds in _phi_classes(profile).items() if holds)
+    return frozenset(cls for cls, ok in holds.items() if ok)
 
 
 @dataclass(frozen=True)
@@ -485,63 +473,6 @@ def classify_auto(k: int) -> Classification | None:
     if ps[0] == 2:
         return classify_2p(ps[1]) if ps[1] % 8 == 1 else None
     return classify_pair(*ps)
-
-
-# --- general-k necessary conditions (phi side) --------------------------------
-
-
-def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
-    """Necessary conditions for a rational point on the phi-side torsor of
-    class A = a_div, for squarefree k whose prime factors are all = 1 mod 8
-    and pairwise quadratic residues.
-
-    With B = k/A and alpha the product of the primary primes over the
-    primes of A, a point forces all four of:
-      A_octic_trivial:            (-4/A)_8 = +1
-      alpha_trivial_over_B:       [alpha/pi] = +1 for every pi | B
-      A_octic_matches_B_quartic:  (-4/p)_8 = (B/p)_4 for every p | A
-      cofactor_symbols_trivial:   [alpha/g . g^-1 / g] = +1 for g | alpha
-
-    This one alpha decides the conditions for every primary alpha of norm
-    A, that is for every choice of conjugates of its prime factors. For pi
-    over a prime r of k other than N(g), [g/pi][gbar/pi] = [N(g)/pi] =
-    (N(g)/r) = +1 by the mutual residues, so flipping a factor g of alpha
-    to gbar changes no symbol mod pi. For the cofactor x = alpha/g,
-    flipping the modulus g itself gives [x/gbar] = [xbar/g], and xbar is x
-    with every factor flipped, so again [xbar/g] = [x/g].
-    """
-    f = factor(k)
-    ps = [q for q, _ in f.factors]
-    if k < 1 or f.squarefree_part() != k or any(q % 8 != 1 for q in ps):
-        raise FamilyMismatch(
-            "need squarefree positive k with all prime factors = 1 mod 8"
-        )
-    if not _mutual_residues(ps):
-        raise FamilyMismatch(f"the prime factors of k = {k} are not mutual residues")
-    if a_div <= 0 or k % a_div != 0:
-        raise FamilyMismatch(f"A = {a_div} is not a positive divisor of k = {k}")
-    b_div = k // a_div
-    a_primes = [q for q in ps if a_div % q == 0]
-    b_primes = [q for q in ps if b_div % q == 0]
-    primary = {q: primary_associate(split_prime(q, GAUSS)) for q in ps}
-    parts = [primary[q] for q in a_primes]  # the prime factors of alpha
-    one = QuadInt(GAUSS, 1, 0)
-    alpha = prod(parts, start=one)
-    cond1 = octic_minus4_product(a_div) == 1
-    cond2 = all(ring_symbol(alpha, primary[q]) == 1 for q in b_primes)
-    cond3 = all(
-        octic_minus4(q) == quartic_symbol_product(b_div, q) for q in a_primes
-    )
-    cond4 = all(
-        ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), g) == 1
-        for i, g in enumerate(parts)
-    )
-    return {
-        "A_octic_trivial": cond1,
-        "alpha_trivial_over_B": cond2,
-        "A_octic_matches_B_quartic": cond3,
-        "cofactor_symbols_trivial": cond4,
-    }
 
 
 # --- witness decomposition and coherence checks --------------------------------

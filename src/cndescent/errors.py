@@ -64,7 +64,3 @@ class FactorBudgetExceeded(BudgetExceeded):
 
 class PreconditionUnmet(DescentError):
     """Operation precondition fails for these arguments."""
-
-
-class NoRepresentation(DescentError):
-    """No binary quadratic form of the discriminant represents the target."""

@@ -314,9 +314,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-_concrete = concretize  # the name the gate suite imports
-
-
 def check_grid_row(i: int, row: GridRow) -> tuple[CheckLine, CheckLine]:
     """Row i of the printed grid against classify_profile, every column,
     and its example pair against residue_profile."""

@@ -14,14 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import divisors, half_symbols, is_prime, jacobi, octic_minus4, sqrt_mod_prime
-from .errors import (
+from sympy import divisors, sqrt_mod
+
+from cndescent.arith import half_symbols, is_prime, jacobi, octic_minus4
+from cndescent.errors import (
     BadResidueClass,
     BudgetExceeded,
+    DescentError,
     InconsistentCriteria,
-    NoRepresentation,
     PreconditionUnmet,
 )
+
+
+class NoRepresentation(DescentError):
+    """No binary quadratic form of the discriminant represents the target."""
+
 
 # --- units and Pell equations ---------------------------------------------------
 
@@ -347,7 +354,7 @@ def fourth_power_class_test(p: int, l: int) -> bool:
             f"(2l/{p}) = -1: no form of discriminant {8 * l} represents {p}"
         )
     grp = form_class_group(8 * l)
-    r = sqrt_mod_prime(8 * l, p)
+    r = sqrt_mod(8 * l, p)
     b = r if r % 2 == 0 else p - r
     form = (p, b, (b * b - 8 * l) // (4 * p))
     return grp.class_of(form) in grp.fourth_powers()

@@ -18,13 +18,6 @@ from cndescent.arith import (
     primes_in,
     quartic_symbol,
 )
-from cndescent.classfield import (
-    form_class_group,
-    fourth_power_class_test,
-    fundamental_unit,
-    scholz_case,
-    strict_two_principal,
-)
 from cndescent.cli import main as cli_main
 from cndescent.criteria import (
     check_witness,
@@ -43,16 +36,22 @@ from cndescent.quadring import (
     split_prime,
     symbol_capital,
 )
-from cndescent.sqclass import SquareClassGroup
+from cndescent.sqclass import SquareClassGroup, concretize
 from cndescent.survey import (
     LAGRANGE_SELMER,
     REFERENCE_GRID,
     SYMBOL_LIST_LARGE,
     SYMBOL_TABLE_SMALL,
     FamilySpec,
-    _concrete,
     run_survey,
     smallest_example,
+)
+from classfield_oracle import (
+    form_class_group,
+    fourth_power_class_test,
+    fundamental_unit,
+    scholz_case,
+    strict_two_principal,
 )
 from test_descent import reference_search_points
 
@@ -79,11 +78,11 @@ def test_grid_classification_columns_and_census():
         p, l = row.example
         cls = classify_11_plus(p, l)
         assert cls.rank_bound == row.rank_bound, row
-        assert cls.w_phi == _concrete(row.w_phi, p, l), row
-        assert cls.sha_psi == _concrete(row.sha_psi, p, l), row
+        assert cls.w_phi == concretize(row.w_phi, p, l), row
+        assert cls.sha_psi == concretize(row.sha_psi, p, l), row
         # the printed complement generators are one valid choice among
         # several; check they certify the same obstruction space
-        comp = _concrete(row.sha_phi, p, l)
+        comp = concretize(row.sha_phi, p, l)
         assert comp.elements & cls.w_phi.elements == {1}, row
         assert len(comp) * len(cls.w_phi) == 8, row
         assert cls.sha_phi.dim == len(row.sha_phi), row
@@ -126,8 +125,8 @@ def test_selmer_shapes_per_family():
     for key, (p, l) in fixture_pairs.items():
         want_psi, want_phi = LAGRANGE_SELMER[key]
         k = p * l
-        assert selmer_group(k, PSI) == _concrete(want_psi, p, l), key
-        assert selmer_group(k, PHI) == _concrete(want_phi, p, l), key
+        assert selmer_group(k, PSI) == concretize(want_psi, p, l), key
+        assert selmer_group(k, PHI) == concretize(want_phi, p, l), key
 
 
 def test_symbol_identities_on_random_pairs():

@@ -13,17 +13,14 @@ from cndescent.arith import (
     _FACTOR_LIMIT,
     FactoredInteger,
     _strong_lucas_probable_prime,
-    divisors,
     factor,
     half_symbols,
     is_prime,
     jacobi,
     octic_minus4,
-    octic_minus4_product,
     primes_in,
     quartic_symbol,
     quartic_symbol_product,
-    sqrt_mod_prime,
 )
 from cndescent.errors import (
     BadResidueClass,
@@ -200,11 +197,6 @@ def test_octic_errors():
         octic_minus4(33)
 
 
-def test_octic_product_convention():
-    assert octic_minus4_product(17 * 89) == octic_minus4(17) * octic_minus4(89)
-    assert octic_minus4_product(1) == 1
-
-
 # --- half symbols ---------------------------------------------------------
 
 
@@ -311,7 +303,7 @@ def test_factor_memo_matches_the_plain_function():
     assert factor(4633).factors == ((41, 1), (113, 1))
 
 
-# --- primality, square roots, divisors, prime ranges -------------------------
+# --- primality and prime ranges ----------------------------------------------
 
 
 def test_is_prime_below_10_6_against_sympy():
@@ -359,29 +351,6 @@ def test_strong_lucas_against_sympy():
     for n in range(43 * 43, 10**5, 2):
         if gcd(n, small) == 1:
             assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
-
-
-def test_sqrt_mod_prime_against_sympy():
-    """The least root, as split_prime needs; None for a non-residue."""
-    for p in primes_in(2, 2 * 10**5):
-        for a in (-1, 2, -2):
-            assert sqrt_mod_prime(a, p) == sympy.sqrt_mod(a, p), (a, p)
-    assert sqrt_mod_prime(0, 13) == 0 and sqrt_mod_prime(26, 13) == 0
-    assert sqrt_mod_prime(8 * 13, 17) == sympy.sqrt_mod(8 * 13, 17)
-
-
-def test_sqrt_mod_prime_rejects_a_composite_modulus():
-    # 2^2 = 4 mod 9, so None would be wrong; modulo 1 every a is 0. The
-    # (-1, 65) case, which never ended, runs in a bounded child in
-    # test_descent.py::test_hard_inputs_finish_in_bounded_memory
-    for a, n in ((4, 9), (2, 1)):
-        with pytest.raises(BadResidueClass):
-            sqrt_mod_prime(a, n)
-
-
-def test_divisors_against_sympy():
-    for n in range(1, 5000):
-        assert divisors(n) == sympy.divisors(n)
 
 
 @pytest.mark.parametrize(

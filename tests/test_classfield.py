@@ -10,8 +10,10 @@ from math import gcd, isqrt
 import pytest
 
 from cndescent.arith import jacobi, primes_in
-from cndescent.classfield import (
-    FormClassGroup,
+from cndescent.errors import BadResidueClass, BudgetExceeded, PreconditionUnmet
+from cndescent.quadring import SQRT2, symbol_capital
+from classfield_oracle import (
+    NoRepresentation,
     _reduce_form,
     form_class_group,
     fourth_power_class_test,
@@ -21,13 +23,6 @@ from cndescent.classfield import (
     scholz_case,
     strict_two_principal,
 )
-from cndescent.errors import (
-    BadResidueClass,
-    BudgetExceeded,
-    NoRepresentation,
-    PreconditionUnmet,
-)
-from cndescent.quadring import SQRT2, symbol_capital
 
 
 # --- fundamental units ------------------------------------------------------

@@ -22,8 +22,6 @@ from cndescent.criteria import (
     classify_profile,
     classify_small_residues,
     decompose_psi_point,
-    phi_class_holds,
-    phi_divisor_conditions,
     phi_pass_classes,
     psi_case_holds,
     psi_obstructed,
@@ -150,10 +148,7 @@ def test_grid_census():
         assert pc.w_phi == (passing | {"1"})
         # complement: disjoint from W except "1", contained in failing classes
         assert pc.w_phi & pc.sha_phi_complement == {"1"}
-        assert all(
-            c == "1" or not phi_class_holds(c, profile)
-            for c in pc.sha_phi_complement
-        )
+        assert all(c == "1" or c not in passing for c in pc.sha_phi_complement)
         assert pc.sha_phi_dim == 3 - (len(pc.w_phi).bit_length() - 1)
         assert pc.rank_bound == 4 - pc.sha_phi_dim - pc.sha_psi_dim
         if pc.rank_bound == 0:
@@ -200,8 +195,6 @@ def test_psi_case_labels():
     assert all(psi_case_holds(c, profile) for c in ("1Aa", "1Ab", "2Ab", "2Bb"))
     with pytest.raises(ValueError):
         psi_case_holds("3Aa", profile)
-    with pytest.raises(ValueError):
-        phi_class_holds("q", profile)
     assert not psi_obstructed(profile)
 
 
@@ -398,6 +391,60 @@ def test_selmer_agreement_with_descent_module(family, inputs):
 # --- general-divisor conditions on the phi side --------------------------------
 
 
+def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
+    """Necessary conditions for a rational point on the phi-side torsor of
+    class A = a_div, for squarefree k whose prime factors are all = 1 mod 8
+    and pairwise quadratic residues.
+
+    With B = k/A and alpha the product of the primary primes over the
+    primes of A, a point forces all four of:
+      A_octic_trivial:            (-4/A)_8 = +1
+      alpha_trivial_over_B:       [alpha/pi] = +1 for every pi | B
+      A_octic_matches_B_quartic:  (-4/p)_8 = (B/p)_4 for every p | A
+      cofactor_symbols_trivial:   [alpha/g . g^-1 / g] = +1 for g | alpha
+
+    This one alpha decides the conditions for every primary alpha of norm
+    A, that is for every choice of conjugates of its prime factors. For pi
+    over a prime r of k other than N(g), [g/pi][gbar/pi] = [N(g)/pi] =
+    (N(g)/r) = +1 by the mutual residues, so flipping a factor g of alpha
+    to gbar changes no symbol mod pi. For the cofactor x = alpha/g,
+    flipping the modulus g itself gives [x/gbar] = [xbar/g], and xbar is x
+    with every factor flipped, so again [xbar/g] = [x/g].
+    """
+    f = arith.factor(k)
+    ps = [q for q, _ in f.factors]
+    if k < 1 or f.squarefree_part() != k or any(q % 8 != 1 for q in ps):
+        raise FamilyMismatch(
+            "need squarefree positive k with all prime factors = 1 mod 8"
+        )
+    if not criteria._mutual_residues(ps):
+        raise FamilyMismatch(f"the prime factors of k = {k} are not mutual residues")
+    if a_div <= 0 or k % a_div != 0:
+        raise FamilyMismatch(f"A = {a_div} is not a positive divisor of k = {k}")
+    b_div = k // a_div
+    a_primes = [q for q in ps if a_div % q == 0]
+    b_primes = [q for q in ps if b_div % q == 0]
+    primary = {q: primary_associate(split_prime(q, GAUSS)) for q in ps}
+    parts = [primary[q] for q in a_primes]  # the prime factors of alpha
+    one = QuadInt(GAUSS, 1, 0)
+    alpha = prod(parts, start=one)
+    cond1 = prod(octic_minus4(q) for q in a_primes) == 1
+    cond2 = all(ring_symbol(alpha, primary[q]) == 1 for q in b_primes)
+    cond3 = all(
+        octic_minus4(q) == arith.quartic_symbol_product(b_div, q) for q in a_primes
+    )
+    cond4 = all(
+        ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), g) == 1
+        for i, g in enumerate(parts)
+    )
+    return {
+        "A_octic_trivial": cond1,
+        "alpha_trivial_over_B": cond2,
+        "A_octic_matches_B_quartic": cond3,
+        "cofactor_symbols_trivial": cond4,
+    }
+
+
 def test_phi_divisor_conditions_trivial_class():
     res = phi_divisor_conditions(17 * 89, 1)
     assert all(res.values())
@@ -429,7 +476,7 @@ def test_phi_divisor_conditions_match_class_table(p, l):
     profile = residue_profile(p, l)
     for a_div, cls_name in [(p, "p"), (l, "l"), (p * l, "pl")]:
         res = phi_divisor_conditions(p * l, a_div)
-        assert all(res.values()) == phi_class_holds(cls_name, profile), (
+        assert all(res.values()) == (cls_name in phi_pass_classes(profile)), (
             p, l, a_div, res,
         )
 
@@ -449,7 +496,7 @@ def reference_phi_divisor_conditions(k, a_div):
         for mask in range(1 << len(base))
     ]
     return {
-        "A_octic_trivial": arith.octic_minus4_product(a_div) == 1,
+        "A_octic_trivial": prod(octic_minus4(q) for q in a_primes) == 1,
         "alpha_trivial_over_B": all(
             ring_symbol(prod(parts, start=one), primary[q]) == 1
             for q in b_primes

@@ -4,6 +4,7 @@ from functools import cache
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import sqrt_mod
 
 from cndescent.arith import (
     is_prime,
@@ -11,7 +12,6 @@ from cndescent.arith import (
     octic_minus4,
     primes_in,
     quartic_symbol,
-    sqrt_mod_prime,
 )
 from cndescent.errors import (
     BadResidueClass,
@@ -81,10 +81,10 @@ def test_split_prime_small_exhaustive_agreement():
 
 def test_closed_form_root_matches_tonelli_shanks():
     # the least root of omega^2 in every split class, and Inert exactly where
-    # omega^2 is a non-residue; 2 is inert although sqrt_mod_prime(w2, 2) = 1
+    # omega^2 is a non-residue; 2 is inert although omega^2 has a root mod 2
     for p in primes_in(3, 2 * 10**5):
         for ring in RINGS:
-            want = sqrt_mod_prime(ring.omega2, p)
+            want = sqrt_mod(ring.omega2, p)
             if want is None:
                 with pytest.raises(Inert):
                     _root(p, ring.omega2)
@@ -195,7 +195,7 @@ def reference_split_prime(p, ring):
     coordinatewise."""
     if not is_prime(p):
         raise BadResidueClass(f"split_prime needs a prime, got {p}")
-    r = None if p == 2 else sqrt_mod_prime(ring.omega2, p)
+    r = None if p == 2 else sqrt_mod(ring.omega2, p)
     if r is None:
         raise Inert(f"{p} does not split in {ring}")
     x, y = QuadInt(ring, p, 0), QuadInt(ring, r, -1)

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every private
 module-level name is referenced somewhere besides its own definition, every
 parameter default is overridden by some call (else it is a constant), every
-error class is raised or subclassed, and importing the CLI loads no
-third-party package: sympy is a test oracle only.
+error class is raised or subclassed, every name in `cndescent.__all__`
+resolves and is listed once, and importing the CLI loads no third-party
+package: sympy is a test oracle only.
 
 `__init__` is exempt from the import check: its imports are the public
 re-exports.
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cndescent
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cndescent"
@@ -236,6 +239,12 @@ def test_every_error_class_is_raised():
     # the code does not have
     errors = (PACKAGE / "errors.py").read_text()
     assert unraised_errors(errors, [p.read_text() for p in MODULES]) == []
+
+
+def test_every_public_name_resolves_once():
+    names = cndescent.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(cndescent, n)] == []
 
 
 def test_runtime_does_not_import_sympy():
