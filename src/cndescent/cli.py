@@ -4,7 +4,8 @@ grid, family surveys, and the full regression suite.
 Each `_cmd_*` returns (exit code, JSON value, text); `main` prints the
 JSON under --json and the text otherwise. Exit codes: 0 success, 1
 computation failed (bad pair, budget exhausted, a verification mismatch),
-2 usage error.
+2 usage error. A `DescentError`, which every argument the package rejects
+raises, prints one line `error: <Type>: <message>` on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -220,9 +221,6 @@ def main(argv=None) -> int:
         code, value, text = args.fn(args)
     except DescentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(value) if args.json and value is not None else text)
     return code

@@ -38,6 +38,7 @@ from .errors import (
     FamilyMismatch,
     HypothesisViolated,
     InconsistentCriteria,
+    PreconditionUnmet,
     UndefinedSymbol,
 )
 from .quadring import (
@@ -153,7 +154,7 @@ def psi_case_holds(case: str, profile: ResidueProfile) -> bool:
     try:
         forced, others = _psi_cases(profile)[case]
     except KeyError:
-        raise ValueError(f"unknown case label {case!r}") from None
+        raise PreconditionUnmet(f"unknown case label {case!r}") from None
     return forced == profile.pi and others
 
 
@@ -233,6 +234,8 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     Cached: there are only 32 profiles. The result's `profile` is always a
     ResidueProfile, since an equal plain tuple shares the cache entry.
     """
+    if len(profile) != 5 or any(s not in (1, -1) for s in profile):
+        raise PreconditionUnmet(f"a profile is five signs +-1, got {profile}")
     profile = ResidueProfile(*profile)
     passing = phi_pass_classes(profile)
     w = label_span(passing)
@@ -636,6 +639,8 @@ def decompose_psi_point(p: int, l: int, point) -> CaseDecomposition:
     """Split a primitive point (N, M, e) on N^2 = p M^4 - p l^2 e^4 into its
     case: 1 or 2 by the parity of e, A or B by l | M, a or b by which of the
     two square factors p divides."""
+    if not _distinct_1mod8_primes(p, l):
+        raise HypothesisViolated(f"need distinct primes p, l = 1 mod 8; got ({p}, {l})")
     if hasattr(point, "N"):
         n_val, m_raw, e_val = int(point.N), int(point.M), int(point.e)
     else:

@@ -52,7 +52,7 @@ def _torsor_constant(k: int, side: str) -> int:
     """b1 b2, the same on every torsor of the side: -k^2 on psi, and on phi
     4k^2 for odd k or k^2/4 for even k."""
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise PreconditionUnmet("k must be a positive integer")
     if side not in (PSI, PHI):
         raise PreconditionUnmet(f"side must be {PSI!r} or {PHI!r}, got {side!r}")
     if side == PSI:
@@ -363,7 +363,7 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 )
             if cert <= selmer[side]:
                 sha_cert[side] = cert
-            elif len(cert) > 1:
+            else:
                 notes.append(
                     f"dropping {side} obstruction certificate "
                     f"{cert.describe()}: not inside the Selmer group"

@@ -3,6 +3,10 @@
 Every computational dead end gets its own class so callers can tell a
 precondition violation from an internal inconsistency. Nothing here ever
 returns a sentinel value; symbols are +1/-1 or an exception.
+
+The argument contract: every rejected argument raises a `DescentError`.
+A check with no more specific class raises `PreconditionUnmet`, which is
+also a `ValueError`.
 """
 
 
@@ -62,5 +66,6 @@ class FactorBudgetExceeded(BudgetExceeded):
     """Factoring gave up within the configured effort bound."""
 
 
-class PreconditionUnmet(DescentError):
-    """Operation precondition fails for these arguments."""
+class PreconditionUnmet(DescentError, ValueError):
+    """Operation precondition fails for these arguments; a `ValueError` too,
+    so `except ValueError` callers catch it."""

@@ -23,6 +23,7 @@ from .errors import (
     Inert,
     NoPrimaryAssociate,
     NotCoprime,
+    PreconditionUnmet,
     UndefinedSymbol,
 )
 
@@ -67,7 +68,7 @@ class QuadInt:
 
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         if self.ring != other.ring:
-            raise ValueError("mixed rings")
+            raise PreconditionUnmet("mixed rings")
         w2 = self.ring.omega2
         return QuadInt(
             self.ring,
@@ -77,7 +78,7 @@ class QuadInt:
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         if self.ring != other.ring:
-            raise ValueError("mixed rings")
+            raise PreconditionUnmet("mixed rings")
         return QuadInt(self.ring, self.a - other.a, self.b - other.b)
 
     def is_primary(self) -> bool:
@@ -261,7 +262,7 @@ def _symbol(alpha: tuple[int, int], beta: tuple[int, int], w2: int) -> int:
 def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:
     """Quadratic residue symbol [alpha/beta], beta of odd prime norm."""
     if alpha.ring != beta.ring:
-        raise ValueError("mixed rings")
+        raise PreconditionUnmet("mixed rings")
     q = abs(beta.norm)
     if q % 2 == 0 or not is_prime(q):
         raise CompositeModulus(f"|N({beta})| = {q} is not an odd prime")

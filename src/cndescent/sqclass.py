@@ -8,6 +8,7 @@ from functools import cache
 from math import gcd
 from operator import itemgetter, xor
 
+from .arith import factor
 from .errors import NotAGroup, PreconditionUnmet
 
 
@@ -46,13 +47,19 @@ class SquareClassGroup:
     @staticmethod
     def span(*generators: int) -> "SquareClassGroup":
         if 0 in generators:
-            raise ValueError("0 is not a square class")
+            raise PreconditionUnmet("0 is not a square class")
+        for g in generators:
+            if factor(g).squarefree_part() != g:
+                raise PreconditionUnmet(f"{g} is not squarefree")
         group = {1}
         _extend(group, generators, squarefree_mul)
         return SquareClassGroup(frozenset(group))
 
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
+        """The group of the given classes, 1 added. The elements must be
+        nonzero squarefree ints; unlike `span`, this does not check it, which
+        would factor every Selmer class."""
         elems = frozenset(elements) | {1}
 
         def mul(a: int, b: int) -> int:

@@ -26,7 +26,7 @@ from .criteria import (
     residue_profile,
 )
 from .descent import descend, selmer_group, witnesses_json
-from .errors import BudgetExceeded, FamilyMismatch
+from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet
 from .quadring import SQRT2, symbol_capital
 from .sqclass import SquareClassGroup, concretize, label_span
 
@@ -48,23 +48,23 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.bound < 3:
-            raise ValueError(f"bound must be >= 3, got {self.bound}")
+            raise PreconditionUnmet(f"bound must be >= 3, got {self.bound}")
         if self.two_p == (self.residues is not None):
-            raise ValueError("exactly one of two_p / residues must be set")
+            raise PreconditionUnmet("exactly one of two_p / residues must be set")
         if self.residues is not None:
             r1, r2 = self.residues
             if r1 not in (1, 3, 5, 7) or r2 not in (1, 3, 5, 7):
-                raise ValueError(f"residues must lie in {{1,3,5,7}}, got {self.residues}")
+                raise PreconditionUnmet(f"residues must lie in {{1,3,5,7}}, got {self.residues}")
             if r1 != r2:
                 raise FamilyMismatch(
                     f"mixed residue classes {self.residues} have no classification"
                 )
         if self.legendre not in (None, 1, -1):
-            raise ValueError(f"legendre must be +-1 or None, got {self.legendre}")
+            raise PreconditionUnmet(f"legendre must be +-1 or None, got {self.legendre}")
         if self.legendre is not None and (self.two_p or self.residues[0] in (3, 7)):
             # for p = l = 3 or 7 mod 8 the symbol is antisymmetric, so every
             # unordered pair matches both signs and the filter selects nothing
-            raise ValueError("legendre filter only applies to residues 1 or 5")
+            raise PreconditionUnmet("legendre filter only applies to residues 1 or 5")
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,8 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
     fills rank_lower and witnesses; by default only the residue criteria
     run and rank_lower is the trivial 0.
     """
+    if height < 0:
+        raise PreconditionUnmet(f"height must be >= 0, got {height}")
     rows: list[SurveyRow] = []
     if spec.two_p:
         for p in primes_in(17, spec.bound, residue=1, mod=8):

@@ -5,7 +5,7 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 

@@ -11,7 +11,6 @@ from cndescent import arith, criteria, quadring
 from cndescent.arith import is_prime, jacobi, octic_minus4, primes_in, quartic_symbol
 from cndescent.criteria import (
     ALL_PROFILES,
-    PHI_CLASSES,
     PSI_CASES,
     ResidueProfile,
     check_witness,

@@ -28,7 +28,7 @@ from cndescent.descent import (
     _free_classes,
     _torsor_constant,
 )
-from cndescent.errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
+from cndescent.errors import BadResidueClass, PreconditionUnmet
 from cndescent.sqclass import SquareClassGroup
 
 

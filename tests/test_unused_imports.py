@@ -1,9 +1,11 @@
 """Every module of the package uses each name it imports, every private
 module-level name is referenced somewhere besides its own definition, every
 parameter default is overridden by some call (else it is a constant), every
-error class is raised or subclassed, every name in `cndescent.__all__`
-resolves and is listed once, and importing the CLI loads no third-party
-package: sympy is a test oracle only.
+error class is raised or subclassed, every `raise` names an error class
+(the argument contract: a rejected argument raises a `DescentError`), every
+name in `cndescent.__all__` resolves and is listed once, and importing the
+CLI loads no third-party package: sympy is a test oracle only. The tests
+import only what they use, too.
 
 `__init__` is exempt from the import check: its imports are the public
 re-exports.
@@ -22,6 +24,7 @@ import cndescent
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cndescent"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -149,23 +152,52 @@ def unpassed_defaults(package: dict[str, str], others: list[str]) -> list[str]:
     return out
 
 
+def _name(node: ast.expr) -> str | None:
+    """The bare name or attribute an expression ends in."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _raised(node: ast.Raise) -> ast.expr:
+    """The class or instance a `raise` with an exception names."""
+    return node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+
+
+def _classes(errors: str) -> list[str]:
+    return [n.name for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)]
+
+
 def unraised_errors(errors: str, package: list[str]) -> list[str]:
     """Each class `errors` defines that no `raise` in the package sources
     names and no class there subclasses, by bare name or attribute."""
-
-    def name(node: ast.expr) -> str | None:
-        return getattr(node, "id", None) or getattr(node, "attr", None)
-
     used: set[str | None] = set()
     for tree in map(ast.parse, package):
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                used.add(name(exc))
+                used.add(_name(_raised(node)))
             elif isinstance(node, ast.ClassDef):
-                used.update(name(b) for b in node.bases)
-    classes = [n.name for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)]
-    return [c for c in classes if c not in used]
+                used.update(_name(b) for b in node.bases)
+    return [c for c in _classes(errors) if c not in used]
+
+
+def foreign_raises(errors: str, package: dict[str, str]) -> list[str]:
+    """'module.function: exception' for each `raise` in the package sources
+    that names no class `errors` defines, by bare name or attribute, in
+    source order; the function is the innermost one around the `raise`. A
+    bare `raise` re-raises and names nothing."""
+    classes = set(_classes(errors))
+    found = []
+
+    def visit(node: ast.AST, mod: str, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                if _name(_raised(child)) not in classes:
+                    found.append(f"{mod}.{func}: {ast.unparse(_raised(child))}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, mod, child.name if inner else func)
+
+    for mod, src in package.items():
+        visit(ast.parse(src), mod, "<module>")
+    return found
 
 
 def test_checker_flags_an_unused_import():
@@ -216,21 +248,37 @@ def test_checker_flags_an_error_class_nothing_raises():
     assert unraised_errors(errors, [errors, pkg]) == ["Named"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_checker_flags_a_raise_of_a_class_outside_errors():
+    errors = "class Base(Exception):\n    pass\n\nclass Bad(Base):\n    pass\n"
+    pkg = (
+        "import argparse\nfrom . import errors\nfrom .errors import Bad\n\n"
+        "def f(x):\n    if x:\n        raise Bad('x')\n    raise errors.Base from None\n\n"
+        "def g(x):\n    try:\n        f(x)\n    except Bad:\n        raise\n"
+        "    raise ValueError(x)\n\n"
+        "def h():\n    def convert(t):\n        raise argparse.ArgumentTypeError(t)\n\n"
+        "    return convert\n\n"
+        "raise KeyError\n"
+    )
+    assert foreign_raises(errors, {"a": pkg}) == [
+        "a.g: ValueError", "a.convert: argparse.ArgumentTypeError", "a.<module>: KeyError",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
 def test_every_private_name_is_referenced():
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    tests = [p.read_text() for p in TESTS]
     assert unreferenced_privates(package, tests) == []
 
 
 def test_every_defaulted_parameter_is_passed():
     # a default that no caller overrides is a constant posing as an option
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    tests = [p.read_text() for p in TESTS]
     assert unpassed_defaults(package, tests) == []
 
 
@@ -239,6 +287,17 @@ def test_every_error_class_is_raised():
     # the code does not have
     errors = (PACKAGE / "errors.py").read_text()
     assert unraised_errors(errors, [p.read_text() for p in MODULES]) == []
+
+
+def test_every_raise_names_an_error_class():
+    # the argument contract: every rejected argument raises a DescentError;
+    # argparse's own error stays inside the CLI's type converters
+    errors = (PACKAGE / "errors.py").read_text()
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert foreign_raises(errors, package) == [
+        "cli.convert: argparse.ArgumentTypeError",
+        "cli._residues: argparse.ArgumentTypeError",
+    ]
 
 
 def test_every_public_name_resolves_once():
