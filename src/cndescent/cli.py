@@ -91,15 +91,7 @@ def _cmd_grid(args):
     entries, lines = [], []
     all_ok = True
     for i, row in enumerate(REFERENCE_GRID, start=1):
-        entry = {
-            "row": i,
-            "profile": list(row.profile),
-            "sha_psi": list(row.sha_psi),
-            "sha_phi": list(row.sha_phi),
-            "rank_bound": row.rank_bound,
-            "w_phi": list(row.w_phi),
-            "example": list(row.example),
-        }
+        entry = {"row": i, **asdict(row)}
         tail = ""
         if args.verify:
             ok = all(c.passed for c in check_grid_row(i, row))

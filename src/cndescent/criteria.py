@@ -467,9 +467,11 @@ def classify_pair(p: int, l: int) -> Classification | None:
 
 def classify_auto(k: int) -> Classification | None:
     """Dispatch k to whichever family classifier applies, else None."""
+    if k < 1:
+        return None  # not positive: no criteria apply, nothing to factor
     f = factor(k)
-    if k < 1 or f.squarefree_part() != k:
-        return None  # not squarefree positive: no criteria apply
+    if f.squarefree_part() != k:
+        return None  # not squarefree: no criteria apply
     ps = [q for q, _ in f.factors]
     if len(ps) != 2:
         return None

@@ -160,8 +160,11 @@ def locally_solvable(b1: int, b2: int) -> bool:
     smooth genus-1 curve over F_q, has a point by the Hasse bound, and
     the point lifts. b1 b2 is the side's torsor constant for every torsor
     of a side, so the memoized `factor` factors it once per side, not
-    once per call.
+    once per call. Raises BadResidueClass when b1 or b2 is 0, as
+    solvable_at does.
     """
+    if b1 == 0 or b2 == 0:
+        raise BadResidueClass(f"locally_solvable needs nonzero b1, b2, got {b1}, {b2}")
     if b1 < 0 and b2 < 0:
         return False
     qs = {2} | {q for q, _ in factor(b1 * b2).factors}
@@ -340,7 +343,13 @@ def _free_classes(k: int, side: str) -> dict[int, TorsorPoint]:
 
 
 def descend(k: int, height: int = 1000) -> DescentReport:
-    """Full descent: Selmer groups, point search, certificates, bounds."""
+    """Full descent: Selmer groups, point search, certificates, bounds.
+
+    Each side grows W and ws = W * Sha from the torsion classes. A class
+    w s of ws outside W has no point, which would put s in W, so the search
+    walks the candidates in group order and skips ws. A class b1 found
+    outside ws keeps W meet Sha = {1}: b1 w in Sha would put b1 in ws.
+    """
     if height < 0:
         raise PreconditionUnmet(f"height must be >= 0, got {height}")
     notes: list[str] = []
@@ -348,14 +357,13 @@ def descend(k: int, height: int = 1000) -> DescentReport:
 
     cls = classify_auto(k)
     sha_cert = {PSI: SquareClassGroup.trivial(), PHI: SquareClassGroup.trivial()}
-    # the phi classes the criteria allow in W; psi certificates never name them
-    w_phi_cap: SquareClassGroup | None = None
+    candidates = dict(selmer)  # the classes each side may search
     if cls is not None:
         for side, cert, expected in (
             (PSI, cls.sha_psi, cls.selmer_psi),
             (PHI, cls.sha_phi, cls.selmer_phi),
         ):
-            if expected.elements != selmer[side].elements:
+            if expected != selmer[side]:
                 notes.append(
                     f"selmer mismatch on {side}: computed "
                     f"{selmer[side].describe()}, criteria expected "
@@ -369,7 +377,8 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                     f"{cert.describe()}: not inside the Selmer group"
                 )
         if not notes:
-            w_phi_cap = cls.w_phi
+            # the phi classes the criteria allow in W; psi has no such bound
+            candidates[PHI] = cls.w_phi
 
     witnesses: dict[str, dict[int, TorsorPoint]] = {}
     w_found: dict[str, SquareClassGroup] = {}
@@ -384,28 +393,20 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 )
         w = {1}  # W, grown in place by each class with a point
         _extend(w, gens, squarefree_mul)
-        # the largest W the certificates allow
-        cert_size_bound = len(selmer[side]) // len(sha_cert[side])
-        # Selmer classes in torsor order: by |b1|, then b1 before -b1
-        for b1 in selmer[side]:
-            if len(w) >= cert_size_bound:
-                break
-            if b1 in w or b1 in sha_cert[side]:
-                continue  # class 1 is in w; certified classes are obstructed
-            if side == PHI and w_phi_cap is not None and b1 not in w_phi_cap:
+        ws = set(w)  # W * Sha
+        if len(_extend(ws, sha_cert[side], squarefree_mul)) < sha_cert[side].dim:
+            raise InconsistentCriteria(
+                f"{side} certificate {sha_cert[side].describe()} has a torsion class"
+            )
+        for b1 in candidates[side]:
+            if b1 in ws:
                 continue
             pts = search_points(Torsor(side, b1, const // b1), height, stop_at_first=True)
             if pts:
                 witnesses[side][b1] = pts[0]
                 _extend(w, [b1], squarefree_mul)
-        current = SquareClassGroup(frozenset(w))
-        for b1 in current:
-            if b1 in sha_cert[side] and b1 != 1:
-                raise InconsistentCriteria(
-                    f"class {b1} on {side} has a point but was certified"
-                    " locally obstructed"
-                )
-        w_found[side] = current
+                _extend(ws, [b1], squarefree_mul)
+        w_found[side] = SquareClassGroup(frozenset(w))
 
     rank_lower = max(0, w_found[PSI].dim + w_found[PHI].dim - 2)
     rank_upper, sha2 = selmer_rank_bound(

@@ -58,9 +58,11 @@ class SquareClassGroup:
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
         """The group of the given classes, 1 added. The elements must be
-        nonzero squarefree ints; unlike `span`, this does not check it, which
-        would factor every Selmer class."""
+        nonzero squarefree ints; unlike `span`, this checks only nonzero, as
+        checking squarefree would factor every Selmer class."""
         elems = frozenset(elements) | {1}
+        if 0 in elems:
+            raise PreconditionUnmet("0 is not a square class")
 
         def mul(a: int, b: int) -> int:
             c = squarefree_mul(a, b)

@@ -154,13 +154,12 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
 
 
 def _build_row(c: Classification, height: int) -> SurveyRow:
-    rank_lower = 0
-    witnesses: dict = {}
-    rank_upper = c.rank_bound
+    # descend's bound already folds in every certificate that agrees with
+    # the computed Selmer groups; a disagreeing one proves nothing
+    rank_lower, rank_upper, witnesses = 0, c.rank_bound, {}
     if height > 0:
         rep = descend(c.k, height=height)
-        rank_lower = rep.rank_lower
-        rank_upper = min(rank_upper, rep.rank_upper)
+        rank_lower, rank_upper = rep.rank_lower, rep.rank_upper
         witnesses = witnesses_json(rep.witnesses)
     return SurveyRow(
         k=c.k,

@@ -151,7 +151,7 @@ PROBES = {
     },
     "classify_auto": {
         "classify_auto(697)": "answer",
-        "classify_auto(0)": "BadResidueClass",
+        "classify_auto(0)": "answer",
         "classify_auto(1)": "answer",
         "classify_auto(-1)": "answer",
         "classify_auto(-697)": "answer",
@@ -268,6 +268,7 @@ PROBES = {
         "SquareClassGroup.from_elements([-1, 17, -17])": "answer",
         "SquareClassGroup.from_elements([2, 3])": "NotAGroup",
         "SquareClassGroup.from_elements([-1])": "answer",
+        "SquareClassGroup.from_elements([0])": "PreconditionUnmet",
     },
     "FamilySpec": {
         "FamilySpec(100, residues=(1, 1))": "answer",

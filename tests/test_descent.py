@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cndescent
 from cndescent import cli, descent
 from cndescent.arith import factor, jacobi, primes_in
+from cndescent.criteria import Classification
 from cndescent.descent import (
     PHI,
     PSI,
@@ -28,8 +29,8 @@ from cndescent.descent import (
     _free_classes,
     _torsor_constant,
 )
-from cndescent.errors import BadResidueClass, PreconditionUnmet
-from cndescent.sqclass import SquareClassGroup
+from cndescent.errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
+from cndescent.sqclass import SquareClassGroup, squarefree_mul
 
 
 def test_curve_pair_constants():
@@ -600,6 +601,73 @@ def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
     assert cli.main(["classify", "--k", "4633", "--height", "50"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [f"note: {n}" for n in notes] == out[-2:]
+
+
+def _certify_30030(monkeypatch, sha_psi: SquareClassGroup) -> None:
+    """Criteria for k = 30030, which no family covers, that agree with the
+    computed Selmer groups and certify sha_psi."""
+    sel = {side: selmer_group(30030, side) for side in (PSI, PHI)}
+    cls = Classification("test", 2310, 13, sel[PSI], sel[PHI], sha_psi=sha_psi, w_phi=sel[PHI])
+    monkeypatch.setattr(descent, "classify_auto", lambda k: cls)
+
+
+def test_descend_skips_w_times_sha(monkeypatch):
+    # W^psi starts as the torsion {+-1, +-30030}; with Sha^psi = <-2145> no
+    # class of W * Sha outside W has a point, so none is searched (descend
+    # once searched 14, -14 and 2145), nor any product with a W class found
+    _certify_30030(monkeypatch, SquareClassGroup.span(-2145))
+    searched = []
+
+    def recorded(torsor, height, stop_at_first=False):
+        searched.append(torsor.b1)
+        return search_points(torsor, height, stop_at_first)
+
+    monkeypatch.setattr(descent, "search_points", recorded)
+    rep = descend(30030, 50)
+    assert rep.notes == () and rep.sha_psi_cert == SquareClassGroup.span(-2145)
+    assert rep.w_psi == SquareClassGroup.span(-1, 66, 455)
+    torsion_sha = {squarefree_mul(w, s) for w in (1, -1, 30030, -30030) for s in (1, -2145)}
+    assert searched and torsion_sha.isdisjoint(searched)
+    # every class left outside W * Sha, the open classes, was searched once
+    w_sha = {squarefree_mul(w, s) for w in rep.w_psi for s in (1, -2145)}
+    assert set(rep.selmer_psi) - w_sha <= set(searched)
+    assert len(set(searched)) == len(searched)
+
+
+def test_descend_refuses_a_certified_torsion_class(monkeypatch):
+    # -1 carries the point (k, 0, 1), so a certificate naming it is wrong
+    _certify_30030(monkeypatch, SquareClassGroup.span(-1))
+    with pytest.raises(InconsistentCriteria, match="torsion class"):
+        descend(30030, 50)
+
+
+def _certified_ks() -> list[int]:
+    """Every k = pl with p, l in one residue class mod 8 (primes below 600
+    for residue 1, below 300 for 3, 5 and 7), and k = 2p for p = 1 mod 8
+    below 2000: the families whose criteria certify Sha classes."""
+    ks = [2 * p for p in primes_in(0, 2000, 1)]
+    for residue, bound in ((1, 600), (5, 300), (7, 300), (3, 300)):
+        ps = primes_in(0, bound, residue)
+        ks += [p * l for i, p in enumerate(ps) for l in ps[i + 1 :]]
+    return ks
+
+
+def test_no_point_on_a_class_of_w_times_sha():
+    # descend never searches w s for w in W and a certified s != 1; this is
+    # the independent check that such a torsor has no point to height 100
+    torsors = 0
+    for k in _certified_ks():
+        rep = descend(k, 100)
+        for side, sha, w in (
+            (PSI, rep.sha_psi_cert, rep.w_psi),
+            (PHI, rep.sha_phi_cert, rep.w_phi),
+        ):
+            const = _torsor_constant(k, side)
+            for b1 in {squarefree_mul(x, s) for x in w for s in sha if s != 1}:
+                torsors += 1
+                torsor = Torsor(side, b1, const // b1)
+                assert search_points(torsor, 100, stop_at_first=True) == [], torsor
+    assert torsors == 1936  # W meet Sha = {1}: each (w, s) gives its own class
 
 
 def test_descend_rejects_nonpositive():
