@@ -185,30 +185,95 @@ def selmer_group(k: int, side: str) -> SquareClassGroup:
 
 
 _SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# (q, offset of q's rows in the flat per-call row list)
-_SIEVE = tuple((q, sum(_SIEVE_MODULI[:i])) for i, q in enumerate(_SIEVE_MODULI))
+# (q, the period p of e^4 mod q in e, and the slot of each e < p in a call's
+# list of windows): q owns the q slots after those of the moduli before it.
+# Blocks of many rows key a window on e mod p, one-row blocks on e^4 mod q,
+# so those build one row per fourth power. p is q, but 16 for 64, since
+# (e + 16)^4 = e^4 mod 64.
+_SLOTS = tuple(
+    (q, p, range(at, at + p))
+    for at, q, p in (
+        (sum(_SIEVE_MODULI[:i]), q, 16 if q == 64 else q) for i, q in enumerate(_SIEVE_MODULI)
+    )
+)
+_ROW_SLOTS = tuple((q, p, tuple(keys[0] + pow(e, 4, q) for e in range(p))) for q, p, keys in _SLOTS)
+_BLOCK_BYTES = 2048  # blocks of e-rows grow 4-fold up to this size, or to one row
+_FIRST_ROWS = 2  # the first block, so an early point pays for few rows
+# candidates that a block smaller than the largest, whose windows serve it
+# alone, tests exactly rather than build the windows of more moduli
+_FEW = 32
 
 
 @cache
-def _residues(q: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
-    """The squares mod q, and each fourth power f mod q with the bits of
-    the j < q that have j^4 = f mod q."""
+def _residues(q: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """For the modulus q: the squares mod q; each fourth power f mod q with
+    the bits of the j < q that have j^4 = f mod q; and for each e of one
+    period of e^4 mod q, the index of e^4 mod q among those f."""
     fourths: dict[int, int] = {}
     for j in range(q):
         fourths[j**4 % q] = fourths.get(j**4 % q, 0) | 1 << j
-    return frozenset(x * x % q for x in range(q)), tuple(fourths.items())
+    order = list(fourths)
+    which = tuple(order.index(e**4 % q) for e in range(16 if q == 64 else q))
+    return frozenset(x * x % q for x in range(q)), tuple(fourths.items()), which
 
 
 @cache
-def _square_pattern(q: int, a: int, c: int) -> int:
-    """Bit j (0 <= j < q) set when a j^4 + c is a square mod q. Called with
-    a = b1 mod q and c = b2 e^4 mod q, so at most sum(q^2) ~ 14.6k entries."""
-    squares, fourths = _residues(q)
+def _row_plan(q: int, start: int, stop: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For the rows e = start .. stop - 1 of one period: the indices, among
+    the fourth powers of _residues(q), of the e^4 mod q they use, and for
+    each row the position of its index among those. At most p (p + 1) / 2
+    plans per q, and a call uses at most 2p."""
+    wanted = _residues(q)[2][start:stop]
+    used = tuple(sorted(set(wanted)))
+    return used, tuple(used.index(i) for i in wanted)
+
+
+@cache
+def _unit_scale(q: int, a: int) -> tuple[int, int]:
+    """(a', s) with s a nonzero square mod q and a' = s a mod q, so that
+    a' M^4 + s c = s (a M^4 + c) is a square mod q exactly when a M^4 + c
+    is. For an odd prime q and a unit a, a' is 1 or the least non-square;
+    64, 9 and a = 0 keep (a, 1)."""
+    if q in (64, 9) or a == 0:
+        return a, 1
+    if pow(a, (q - 1) // 2, q) == 1:
+        return 1, pow(a, -1, q)
+    n = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) != 1)
+    return n, n * pow(a, -1, q) % q
+
+
+@cache
+def _square_pattern(q: int, a: int, c: int) -> bytes:
+    """Bit j set when a j^4 + c is a square mod q, for j < lcm(q, 8): the
+    length-q pattern repeated over whole bytes. Called with the (a', s c)
+    of _unit_scale, so an odd prime q has at most 3q keys."""
+    squares, fourths, _ = _residues(q)
     pattern = 0
     for f, bits in fourths:
         if (a * f + c) % q in squares:
             pattern |= bits
-    return pattern
+    tile_bits = q * 8 // gcd(q, 8)
+    tile = pattern * ((1 << tile_bits) - 1) // ((1 << q) - 1)
+    return tile.to_bytes(tile_bits // 8, "little")
+
+
+@cache
+def _tiles(q: int, a: int, d: int) -> tuple[bytes, ...]:
+    """The _square_pattern of (a, d f) for each fourth power f mod q, in
+    the order of _residues(q)."""
+    return tuple(_square_pattern(q, a, d * f % q) for f, _ in _residues(q)[1])
+
+
+def _rows(q: int, b1: int, b2: int, nb: int, start: int, stop: int) -> bytes:
+    """The rows e = start .. stop - 1 (stop at most the period of e^4 mod
+    q) of nb bytes, joined; row e has bit M set when b1 M^4 + b2 e^4 is a
+    square mod q."""
+    a, s = _unit_scale(q, b1 % q)
+    tiles = _tiles(q, a, b2 * s % q)
+    used, where = _row_plan(q, start, stop)
+    copies = nb // len(tiles[0]) + 1  # tiles to cover nb bytes
+    rows = [(tiles[i] * copies)[:nb] for i in used]
+    return b"".join(map(rows.__getitem__, where))
 
 
 def search_points(
@@ -216,21 +281,43 @@ def search_points(
 ) -> list[TorsorPoint]:
     """Primitive points with max(|M|, |e|) <= height, M, e >= 0.
 
-    A bit-array sieve, as in Stoll's ratpoints. For each e the candidate M
-    are the set bits of one Python int: the interval where
-    b1 M^4 + b2 e^4 >= 0, ANDed for each q in _SIEVE_MODULI (64, 9, then
-    the primes 5 to 47) with a row whose bit M is set when b1 M^4 + b2 e^4
-    is a square mod q. A square is a square mod every q, so the sieve
-    drops no point; gcd, sign and isqrt then decide each surviving bit.
+    A bit-array sieve, as in Stoll's ratpoints, over blocks of consecutive
+    e. A block of R rows from e0 is one Python int, row e of
+    nb = ceil((height + 1) / 8) bytes from bit 8 nb (e - e0), bit M of the
+    row standing for (M, e). It starts as the M where b1 M^4 + b2 e^4 >= 0
+    for some e of the block (M = 1 alone at e = 0) and is ANDed, for each
+    q in _SIEVE_MODULI (64, 9, then the primes 5 to 47), with a window of
+    R rows whose bit M is set when b1 M^4 + b2 e^4 is a square mod q,
+    until it is empty. A square is a square mod every q, so the sieve
+    drops no point; gcd, sign and isqrt then decide each surviving bit, so
+    a modulus left out changes only how many bits they test.
 
-    Order: e ascending, then M ascending (bits low to high), the order of
-    a plain scan, so stop_at_first returns the first point of that order.
+    Blocks: the first has 2 rows, and each next one 4 times as many, up
+    to _BLOCK_BYTES = 2 KB, or one row if a row is wider (height 8,192 and
+    up); a block takes all the e left, up to that size, when fewer than
+    twice its rows are left. A row depends on e only through e mod p, the
+    period of e^4 mod q, so a window is cached per call on e0 mod p while
+    the block size holds, and a one-row window on e^4 mod q, as a per-e
+    sieve caches its rows. A window inside rows 0 .. p - 1 is joined from
+    its rows; one that runs past row p - 1 is cut from q's p rows, joined
+    once per call and repeated. A block smaller than the largest is the
+    only one of its size, so no other block uses its windows: once it has
+    32 candidates or fewer, it tests them rather than build more windows,
+    and a point found early builds few rows.
 
-    Memory: a row depends on e only through b2 e^4 mod q, so a call builds
-    at most sum(q) = 396 rows of height + 1 bits, lazily: about
-    396 (height + 1) / 8 bytes, 5 MB at height 10^5. Each row repeats a
-    length-q base pattern, cached across calls by (q, b1 mod q,
-    b2 e^4 mod q): at most sum(q^2) ~ 14.6k small ints.
+    Order: e ascending, then M ascending, the order of a plain scan, so
+    stop_at_first returns the first point of that order.
+
+    Memory per call, with B = max(2048, nb) bytes: at most p windows of at
+    most B bytes and p rows of nb bytes per q, 348 of each in all; counting
+    the int overhead and the block in hand, under 400 B + 400 nb bytes,
+    0.92 MB at height 2000. One-row blocks join no period and key their
+    windows on the 144 fourth powers, so from height 8,192 on a call holds
+    at most 144 rows of nb bytes: 0.2 MB at height 10^4 and 1.9 MB at
+    10^5. Across calls only small tables that do not depend on the height
+    are cached: the tiles of _square_pattern (at most 3q of at most q
+    bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9), the
+    tuples of _tiles, keyed the same way, and the row plans of _row_plan.
 
     Raises PreconditionUnmet for a zero b1 or b2 or a negative height.
     """
@@ -243,47 +330,76 @@ def search_points(
     if b1 < 0 and b2 < 0:
         return found
     n_bits = height + 1
-    rows: list[int | None] = [None] * sum(_SIEVE_MODULI)
-    for e in range(n_bits):
-        c = b2 * e**4
-        # M bounds from exact fourth roots; m_lo may sit one below the
-        # first M with b1 M^4 + c >= 0, which the t < 0 test skips
-        if b1 > 0:
-            m_lo = 0 if b2 >= 0 else isqrt(isqrt(-c // b1))
-            m_hi = height
-        else:
-            m_lo = 0
-            m_hi = min(height, isqrt(isqrt(c // -b1)))
-        if m_lo > m_hi:
-            break  # only m_lo can pass m_hi, and it grows with e
-        mask = (1 << (m_hi + 1)) - (1 << m_lo)
-        for q, offset in _SIEVE:
-            i = offset + c % q
-            row = rows[i]
-            if row is None:
-                row = _square_pattern(q, b1 % q, c % q)
-                width = q
-                while width < n_bits:
-                    row |= row << width
-                    width *= 2
-                rows[i] = row
-            mask &= row
-            if not mask:
+    nb = (n_bits + 7) // 8
+    width = 8 * nb  # bits per row; the M range keeps those from n_bits on clear
+    e_end = height  # past e_end, b1 M^4 + b2 e^4 < 0 for every M <= height
+    if b1 > 0 > b2:
+        e_end = min(height, isqrt(isqrt((b1 * n_bits**4 - 1) // -b2)))
+    max_rows = max(1, _BLOCK_BYTES // nb)
+    rows = 0  # the block size
+    periods: dict[int, bytes] = {}  # q -> its rows e < p, or to e_end if fewer
+    span = start = None  # the last block's M range and size, and its rows
+    e0 = 0
+    while e0 <= e_end:
+        if rows < max_rows or e0 + rows > e_end + 1:  # a new block size
+            rows = min(4 * rows or _FIRST_ROWS, max_rows)
+            if e_end + 1 - e0 < 2 * rows:  # fewer than two blocks left: take them all
+                rows = min(e_end + 1 - e0, max_rows)
+            windows: list[int | None] = [None] * sum(_SIEVE_MODULI)
+            slots = _SLOTS if rows > 1 else _ROW_SLOTS
+        # the scan's M range: b1 M^4 + b2 e^4 >= 0 for some e of the block
+        lo = isqrt(isqrt(-b2 * e0**4 // b1)) if b1 > 0 > b2 else 0
+        hi = height
+        if b1 < 0:
+            hi = min(height, isqrt(isqrt(b2 * (e0 + rows - 1) ** 4 // -b1)))
+        if span != (lo, hi, rows):
+            span = lo, hi, rows
+            start = (1 << hi + 1) - (1 << lo)
+            if rows > 1:
+                start = int.from_bytes(start.to_bytes(nb, "little") * rows, "little")
+        block = start
+        if e0 == 0:  # gcd(M, 0) = M, so M = 1 is the one candidate at e = 0
+            block &= ~((1 << width) - 3)
+        for q, p, keys in slots:
+            r0 = e0 % p
+            slot = keys[r0]
+            window = windows[slot]
+            if window is None:
+                if rows < max_rows and block.bit_count() <= _FEW:
+                    break
+                if q in periods or r0 + rows > p:  # cut from q's period, repeated
+                    if q not in periods:
+                        periods[q] = _rows(q, b1, b2, nb, 0, min(p, e_end + 1))
+                    ext = periods[q] * ((r0 + rows - 1) // p + 1)
+                    window = int.from_bytes(ext[r0 * nb : (r0 + rows) * nb], "little")
+                else:
+                    window = int.from_bytes(_rows(q, b1, b2, nb, r0, r0 + rows), "little")
+                windows[slot] = window
+            block &= window
+            if not block:
                 break
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            m = low.bit_length() - 1
-            if gcd(m, e) != 1:
-                continue
-            t = b1 * m**4 + c
-            if t < 0:
-                continue
-            n = isqrt(t)
-            if n * n == t:
-                found.append(TorsorPoint(n, m, e))
-                if stop_at_first:
-                    return found
+        survivors = []
+        while block:  # rows from the top, each a small int
+            r = (block.bit_length() - 1) // width
+            survivors.append((e0 + r, block >> r * width if r else block))
+            block &= (1 << r * width) - 1
+        for e, row in reversed(survivors):
+            c = b2 * e**4
+            while row:
+                low = row & -row
+                row ^= low
+                m = low.bit_length() - 1
+                if gcd(m, e) != 1:
+                    continue
+                t = b1 * m**4 + c
+                if t < 0:
+                    continue
+                n = isqrt(t)
+                if n * n == t:
+                    found.append(TorsorPoint(n, m, e))
+                    if stop_at_first:
+                        return found
+        e0 += rows
     return found
 
 
@@ -376,9 +492,14 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                     f"dropping {side} obstruction certificate "
                     f"{cert.describe()}: not inside the Selmer group"
                 )
-        if not notes:
-            # the phi classes the criteria allow in W; psi has no such bound
+        # the phi classes the criteria allow in W; psi has no such bound
+        if not notes and cls.w_phi <= selmer[PHI]:
             candidates[PHI] = cls.w_phi
+        elif not notes:
+            notes.append(
+                f"dropping phi W bound {cls.w_phi.describe()}: "
+                "not inside the Selmer group"
+            )
 
     witnesses: dict[str, dict[int, TorsorPoint]] = {}
     w_found: dict[str, SquareClassGroup] = {}

@@ -396,6 +396,34 @@ def test_search_matches_reference_on_selmer_torsors():
     assert n_points >= 1000  # the sweep must actually exercise points
 
 
+# Selmer torsors of these k have first points on both sides of the block
+# edges (e = 0, 1, 4, 7, 8, 9, 13, 16, 17, 19, 25, 30, 31, 39, 41, 43, 52,
+# 59, 75, 84, 93), and six have none at height 120
+_BLOCK_EDGE_KS = (38, 61, 69, 77, 94, 137, 226, 230, 238, 257, 287)
+
+
+@pytest.mark.parametrize("budget", [1, 24, 100, descent._BLOCK_BYTES])
+def test_search_matches_reference_across_block_edges(monkeypatch, budget):
+    """Heights whose last e falls on either side of a block edge: blocks
+    grow 4-fold from 2 rows, so the first ones end below e = 2, 10 and 42,
+    and a last block takes the rest or is cut short. The small budgets cap
+    a block at a few rows, so later blocks start at every e0 mod q."""
+    monkeypatch.setattr(descent, "_BLOCK_BYTES", budget)
+    n_points = 0
+    for k in _BLOCK_EDGE_KS:
+        for side in (PSI, PHI):
+            const = _torsor_constant(k, side)
+            for b1 in selmer_group(k, side):
+                t = Torsor(side, b1, const // b1)
+                every = reference_search_points(t, 120)
+                for height in (1, 2, 3, 7, 8, 9, 10, 11, 23, 24, 41, 42, 43, 56, 120):
+                    expected = [pt for pt in every if max(pt.M, pt.e) <= height]
+                    assert search_points(t, height) == expected, (t, height)
+                    assert search_points(t, height, stop_at_first=True) == expected[:1]
+                n_points += len(every)
+    assert n_points >= 50
+
+
 # --- full descent -------------------------------------------------------------
 
 
@@ -641,6 +669,38 @@ def test_descend_refuses_a_certified_torsion_class(monkeypatch):
         descend(30030, 50)
 
 
+def test_descend_drops_a_w_bound_outside_the_selmer_group(monkeypatch):
+    # criteria whose W^phi bound holds 3, a class outside Sel^phi(1513) =
+    # <2, 17, 89>: the bound is dropped with a note, so the phi search walks
+    # Sel^phi instead and no torsor outside a Selmer group is searched
+    real = descent.classify_auto
+    forged = SquareClassGroup.span(3, 3026)
+    monkeypatch.setattr(
+        descent, "classify_auto", lambda k: dataclasses.replace(real(k), w_phi=forged)
+    )
+    searched = []
+
+    def recorded(torsor, height, stop_at_first=False):
+        searched.append((torsor.side, torsor.b1))
+        return search_points(torsor, height, stop_at_first)
+
+    monkeypatch.setattr(descent, "search_points", recorded)
+    rep = descend(1513, 50)
+    assert rep.notes == ("dropping phi W bound <3, 3026>: not inside the Selmer group",)
+    selmer = {PSI: rep.selmer_psi, PHI: rep.selmer_phi}
+    assert all(b1 in selmer[side] for side, b1 in searched)
+    assert (PHI, 3) not in searched and (PHI, 89) in searched
+    assert rep.w_phi == SquareClassGroup.span(3026) and rep.rank_lower == 2
+
+
+def test_descend_refuses_a_rank_above_the_bound(monkeypatch):
+    # 34 has rank 2 and descend finds both points by height 100, so a bound
+    # of 0 contradicts them
+    monkeypatch.setattr(descent, "selmer_rank_bound", lambda *groups: (0, 0))
+    with pytest.raises(InconsistentCriteria, match="found rank 2 exceeds certified bound 0"):
+        descend(34, 100)
+
+
 def _certified_ks() -> list[int]:
     """Every k = pl with p, l in one residue class mod 8 (primes below 600
     for residue 1, below 300 for 3, 5 and 7), and k = 2p for p = 1 mod 8
@@ -741,6 +801,49 @@ def test_hard_inputs_finish_in_bounded_memory():
         "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
         "BadResidueClass", "BadResidueClass", "BadResidueClass", "BadResidueClass",
     ]
+
+
+# stop_at_first searches at height 10^4 on the Selmer torsors TORSORS, then
+# one exhaustive search at height 2000, which joins periods and caches
+# windows of 8 rows. tracemalloc counts what the searches allocate: the
+# ru_maxrss of a forked child starts at its parent's, so it would not move.
+_SEARCH_MEMORY = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from cndescent.descent import PHI, Torsor, search_points
+torsors = [Torsor(*t) for t in TORSORS]
+tracemalloc.start()
+found = sum(len(search_points(t, 10**4, stop_at_first=True)) for t in torsors)
+found += len(search_points(Torsor(PHI, 53, 212), 2000))
+print(found, *tracemalloc.get_traced_memory())
+"""
+
+
+def test_search_memory_does_not_grow_with_calls():
+    """Each call stays under the bound search_points states, at most
+    400 max(2048, nb) + 400 nb bytes (1.3 MB for the 1,251-byte rows of
+    height 10^4), and what stays after the calls is only the small tables
+    cached across calls: keeping each call's windows would keep about 100
+    to 190 KB per torsor. The torsors have their first point past the
+    first block, so each search builds one-row windows for several e."""
+    torsors = []
+    for k in range(1, 1000):
+        if factor(k).squarefree_part() != k:
+            continue
+        for side in (PSI, PHI):
+            const = _torsor_constant(k, side)
+            for b1 in selmer_group(k, side):
+                pts = search_points(Torsor(side, b1, const // b1), 120, stop_at_first=True)
+                if pts and pts[0].e >= 8:
+                    torsors.append((side, b1, const // b1))
+        if len(torsors) >= 50:
+            break
+    code = _SEARCH_MEMORY.replace("TORSORS", repr(torsors))
+    found, kept, peak = map(int, _run_child(code).split())
+    assert len(torsors) >= 50 and found >= len(torsors) + 2
+    nb = (10**4 + 8) // 8
+    assert kept < 1 << 20, kept  # tiles, tile tuples and row plans
+    assert peak <= 400 * max(descent._BLOCK_BYTES, nb) + 400 * nb + kept, peak
 
 
 def test_profile_classification_repr_does_not_follow_the_string_hash():
