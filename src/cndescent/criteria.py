@@ -68,6 +68,13 @@ class ResidueProfile(NamedTuple):
     d: int  # (-4/l)_8
 
 
+def _checked_profile(profile) -> ResidueProfile:
+    """The profile as a ResidueProfile, if it is five signs +-1."""
+    if len(profile) != 5 or any(s not in (1, -1) for s in profile):
+        raise PreconditionUnmet(f"a profile is five signs +-1, got {profile}")
+    return ResidueProfile(*profile)
+
+
 def _distinct_1mod8_primes(p: int, l: int) -> bool:
     """The pair hypothesis of the pl = 1 mod 8 criteria."""
     if p % 8 != 1 or l % 8 != 1 or p == l:
@@ -234,9 +241,7 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     Cached: there are only 32 profiles. The result's `profile` is always a
     ResidueProfile, since an equal plain tuple shares the cache entry.
     """
-    if len(profile) != 5 or any(s not in (1, -1) for s in profile):
-        raise PreconditionUnmet(f"a profile is five signs +-1, got {profile}")
-    profile = ResidueProfile(*profile)
+    profile = _checked_profile(profile)
     passing = phi_pass_classes(profile)
     w = label_span(passing)
     if not (passing | {"1"}) == w:

@@ -218,17 +218,6 @@ def _residues(q: int) -> tuple[frozenset[int], tuple[tuple[int, int], ...], tupl
 
 
 @cache
-def _row_plan(q: int, start: int, stop: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For the rows e = start .. stop - 1 of one period: the indices, among
-    the fourth powers of _residues(q), of the e^4 mod q they use, and for
-    each row the position of its index among those. At most p (p + 1) / 2
-    plans per q, and a call uses at most 2p."""
-    wanted = _residues(q)[2][start:stop]
-    used = tuple(sorted(set(wanted)))
-    return used, tuple(used.index(i) for i in wanted)
-
-
-@cache
 def _unit_scale(q: int, a: int) -> tuple[int, int]:
     """(a', s) with s a nonzero square mod q and a' = s a mod q, so that
     a' M^4 + s c = s (a M^4 + c) is a square mod q exactly when a M^4 + c
@@ -264,16 +253,18 @@ def _tiles(q: int, a: int, d: int) -> tuple[bytes, ...]:
     return tuple(_square_pattern(q, a, d * f % q) for f, _ in _residues(q)[1])
 
 
-def _rows(q: int, b1: int, b2: int, nb: int, start: int, stop: int) -> bytes:
-    """The rows e = start .. stop - 1 (stop at most the period of e^4 mod
-    q) of nb bytes, joined; row e has bit M set when b1 M^4 + b2 e^4 is a
-    square mod q."""
+def _rows(q: int, b1: int, b2: int, nb: int, e: int | None = None) -> bytes:
+    """Rows of nb bytes whose row e has bit M set when b1 M^4 + b2 e^4 is a
+    square mod q: the single row e, or, with e None, the rows of one period
+    of e^4 mod q, e = 0 .. p - 1, joined."""
     a, s = _unit_scale(q, b1 % q)
     tiles = _tiles(q, a, b2 * s % q)
-    used, where = _row_plan(q, start, stop)
+    which = _residues(q)[2]
     copies = nb // len(tiles[0]) + 1  # tiles to cover nb bytes
-    rows = [(tiles[i] * copies)[:nb] for i in used]
-    return b"".join(map(rows.__getitem__, where))
+    if e is not None:
+        return (tiles[which[e % len(which)]] * copies)[:nb]
+    rows = [(tile * copies)[:nb] for tile in tiles]
+    return b"".join(map(rows.__getitem__, which))
 
 
 def search_points(
@@ -296,14 +287,14 @@ def search_points(
     to _BLOCK_BYTES = 2 KB, or one row if a row is wider (height 8,192 and
     up); a block takes all the e left, up to that size, when fewer than
     twice its rows are left. A row depends on e only through e mod p, the
-    period of e^4 mod q, so a window is cached per call on e0 mod p while
-    the block size holds, and a one-row window on e^4 mod q, as a per-e
-    sieve caches its rows. A window inside rows 0 .. p - 1 is joined from
-    its rows; one that runs past row p - 1 is cut from q's p rows, joined
-    once per call and repeated. A block smaller than the largest is the
-    only one of its size, so no other block uses its windows: once it has
-    32 candidates or fewer, it tests them rather than build more windows,
-    and a point found early builds few rows.
+    period of e^4 mod q, so every window of several rows is cut from q's
+    rows e = 0 .. p - 1, joined once per call and repeated, and is cached
+    per call on e0 mod p while the block size holds; a one-row window is
+    its row alone, cached on e^4 mod q, as a per-e sieve caches its rows.
+    A block smaller than the largest is the only one of its size, so no
+    other block uses its windows: once it has 32 candidates or fewer, it
+    tests them rather than build more windows, and a point found early
+    builds few rows.
 
     Order: e ascending, then M ascending, the order of a plain scan, so
     stop_at_first returns the first point of that order.
@@ -316,8 +307,8 @@ def search_points(
     at most 144 rows of nb bytes: 0.2 MB at height 10^4 and 1.9 MB at
     10^5. Across calls only small tables that do not depend on the height
     are cached: the tiles of _square_pattern (at most 3q of at most q
-    bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9), the
-    tuples of _tiles, keyed the same way, and the row plans of _row_plan.
+    bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9) and the
+    tuples of _tiles, keyed the same way.
 
     Raises PreconditionUnmet for a zero b1 or b2 or a negative height.
     """
@@ -337,7 +328,7 @@ def search_points(
         e_end = min(height, isqrt(isqrt((b1 * n_bits**4 - 1) // -b2)))
     max_rows = max(1, _BLOCK_BYTES // nb)
     rows = 0  # the block size
-    periods: dict[int, bytes] = {}  # q -> its rows e < p, or to e_end if fewer
+    periods: dict[int, bytes] = {}  # q -> its rows e < p
     span = start = None  # the last block's M range and size, and its rows
     e0 = 0
     while e0 <= e_end:
@@ -367,13 +358,13 @@ def search_points(
             if window is None:
                 if rows < max_rows and block.bit_count() <= _FEW:
                     break
-                if q in periods or r0 + rows > p:  # cut from q's period, repeated
+                if rows == 1:
+                    window = int.from_bytes(_rows(q, b1, b2, nb, e0), "little")
+                else:  # cut from q's period, repeated
                     if q not in periods:
-                        periods[q] = _rows(q, b1, b2, nb, 0, min(p, e_end + 1))
+                        periods[q] = _rows(q, b1, b2, nb)
                     ext = periods[q] * ((r0 + rows - 1) // p + 1)
                     window = int.from_bytes(ext[r0 * nb : (r0 + rows) * nb], "little")
-                else:
-                    window = int.from_bytes(_rows(q, b1, b2, nb, r0, r0 + rows), "little")
                 windows[slot] = window
             block &= window
             if not block:

@@ -18,6 +18,7 @@ from .criteria import (
     LAGRANGE_SELMER,
     Classification,
     ResidueProfile,
+    _checked_profile,
     classify_2p,
     classify_11_minus,
     classify_pair,
@@ -187,7 +188,9 @@ def smallest_example(profile: ResidueProfile, bound: int = 10**5) -> tuple[int, 
     """Smallest admissible pair (by pl, then p) of primes p < l, both
     1 mod 8, with (p/l) = +1, whose residue profile matches. The p < l
     normalization matters: the profile reads p and l asymmetrically, so
-    the swapped pair realizes a different row."""
+    the swapped pair realizes a different row. Raises PreconditionUnmet,
+    before any scan, for a profile that is not five signs +-1."""
+    profile = _checked_profile(profile)
     ps = list(primes_in(17, bound // 17 + 1, residue=1, mod=8))
     pairs = []
     for i, p in enumerate(ps):

@@ -292,7 +292,8 @@ PROBES = {
     "smallest_example": {
         "smallest_example((1, 1, 1, 1, 1), 2000)": "BudgetExceeded",
         "smallest_example((1, 1, -1, -1, -1), 2000)": "answer",
-        "smallest_example((0, 0, 0, 0, 0), 2000)": "BudgetExceeded",
+        "smallest_example((0, 0, 0, 0, 0), 2000)": "PreconditionUnmet",
+        "smallest_example((1, 1, 1, 1))": "PreconditionUnmet",
         "smallest_example((1, 1, 1, 1, 1), 0)": "BudgetExceeded",
         "smallest_example((1, 1, 1, 1, 1), -1)": "BudgetExceeded",
     },

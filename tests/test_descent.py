@@ -424,6 +424,27 @@ def test_search_matches_reference_across_block_edges(monkeypatch, budget):
     assert n_points >= 50
 
 
+@pytest.mark.parametrize("q", descent._SIEVE_MODULI)
+def test_sieve_rows_match_their_definition(q):
+    """Both forms of _rows, bit by bit: bit M of row e is set exactly when
+    b1 M^4 + b2 e^4 is a square mod q. A row that keeps too many bits drops
+    no point, so only this test sees it; the point tests above see a cut
+    that drops one."""
+    p = 16 if q == 64 else q
+    squares = {x * x % q for x in range(q)}
+    for b1, b2 in ((1, 1), (0, 3), (-7, 0), (0, 0), (2, -1), (q + 5, -2 * q - 3), (-1, 17)):
+        for nb in (1, 2, 26):
+
+            def row(e):
+                bits = (1 << m for m in range(8 * nb) if (b1 * m**4 + b2 * e**4) % q in squares)
+                return sum(bits).to_bytes(nb, "little")
+
+            period = descent._rows(q, b1, b2, nb)
+            assert period == b"".join(map(row, range(p))), (b1, b2, nb)
+            for e in (0, 1, 2, p - 1, p, p + 3, 3 * p + 2):
+                assert descent._rows(q, b1, b2, nb, e) == row(e), (b1, b2, nb, e)
+
+
 # --- full descent -------------------------------------------------------------
 
 
@@ -842,7 +863,7 @@ def test_search_memory_does_not_grow_with_calls():
     found, kept, peak = map(int, _run_child(code).split())
     assert len(torsors) >= 50 and found >= len(torsors) + 2
     nb = (10**4 + 8) // 8
-    assert kept < 1 << 20, kept  # tiles, tile tuples and row plans
+    assert kept < 1 << 20, kept  # tiles and tile tuples
     assert peak <= 400 * max(descent._BLOCK_BYTES, nb) + 400 * nb + kept, peak
 
 
