@@ -5,24 +5,23 @@ descent torsors, certifies elements of the Tate-Shafarevich group through
 residue-symbol criteria, and turns the two into rank bounds: when the
 upper bound is zero, k is certified non-congruent. Everything decidable
 by symbols alone lives in `criteria`; `survey` scales the classification
-over families and carries the frozen reference data. The class-group
-oracles those symbols are checked against are test code, in
-`tests/classfield_oracle.py`.
+over families and carries the frozen reference data. The oracles those
+symbols are checked against are test code: the class-group oracles in
+`tests/classfield_oracle.py`, and the witness lemmas, which check the
+psi-case table on found points, in `tests/witness_oracle.py`.
 """
 
-from .arith import half_symbols, jacobi, octic_minus4, primes_in, quartic_symbol
+from .arith import jacobi, octic_minus4, primes_in, quartic_symbol
 from .criteria import (
     ALL_PROFILES,
     Classification,
     ResidueProfile,
-    check_witness,
     classify_2p,
     classify_11_minus,
     classify_11_plus,
     classify_auto,
     classify_profile,
     classify_small_residues,
-    decompose_psi_point,
     residue_profile,
 )
 from .descent import (
@@ -74,17 +73,14 @@ __all__ = [
     "SquareClassGroup",
     "Torsor",
     "TorsorPoint",
-    "check_witness",
     "classify_2p",
     "classify_11_minus",
     "classify_11_plus",
     "classify_auto",
     "classify_profile",
     "classify_small_residues",
-    "decompose_psi_point",
     "descend",
     "enumerate_torsors",
-    "half_symbols",
     "jacobi",
     "locally_solvable",
     "octic_minus4",

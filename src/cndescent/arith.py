@@ -1,9 +1,9 @@
 """Integer residue symbols and the elementary number theory under them.
 
-The descent criteria are driven by four symbol flavours on top of plain
-Jacobi: the quartic residue symbol (a/l)_4 for l = 1 mod 4, the octic
-character (-4/p)_8 for p = 1 mod 8, and the two half symbols (2/l)_4 and
-(l/2)_4. All of them take values in {+1, -1}; anything else raises.
+The descent criteria are driven by two symbol flavours on top of plain
+Jacobi: the quartic residue symbol (a/l)_4 for l = 1 mod 4 and the octic
+character (-4/p)_8 for p = 1 mod 8. Both take values in {+1, -1};
+anything else raises.
 
 Primality, factoring and prime ranges are plain-int code with the
 standard methods (Cohen, A Course in Computational Algebraic Number
@@ -13,10 +13,10 @@ live in `quadring` as a closed form for the three rings' omega^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import (
     BadResidueClass,
@@ -75,18 +75,6 @@ def _quartic(a: int, l: int) -> int:
     raise UndefinedSymbol(f"({a}/{l})_4 undefined: {a} is not a square mod {l}")
 
 
-def quartic_symbol_product(a: int, n: int) -> int:
-    """(a/n)_4 for odd composite n, as the product over prime factors.
-
-    Every prime factor q of n must satisfy q = 1 mod 4 and (a/q) = +1.
-    n = 1 gives the empty product +1.
-    """
-    result = 1
-    for q, e in factor(n).factors:
-        result *= quartic_symbol(a, q) ** e
-    return result
-
-
 def octic_minus4(p: int) -> int:
     """Octic character (-4/p)_8 = (-4)^((p-1)/8) mod p for p = 1 mod 8.
 
@@ -103,20 +91,7 @@ def _octic(p: int) -> int:
     return 1 if pow(-4 % p, (p - 1) // 8, p) == 1 else -1
 
 
-def half_symbols(l: int) -> tuple[int, int]:
-    """The pair ((2/l)_4, (l/2)_4) for a prime l = 1 mod 8.
-
-    (2/l)_4 is the genuine quartic symbol (2 is a square mod l here);
-    (l/2)_4 is the conventional (-1)^((l-1)/8). Their product equals
-    (-4/l)_8, which is a theorem, not the definition, and is tested as such.
-    """
-    if l % 8 != 1 or not is_prime(l):
-        raise BadResidueClass(f"half symbols need a prime = 1 mod 8, got {l}")
-    return _quartic(2, l), 1 if (l - 1) // 8 % 2 == 0 else -1
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """Sign and prime factorization (p, e) pairs, p ascending."""
 
     sign: int
@@ -282,8 +257,8 @@ def factor(n: int) -> FactoredInteger:
     4k^2 (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8
     and even k up to 10^9, and raises FactorBudgetExceeded above that.
 
-    Memoized for the last 256 distinct n. A FactoredInteger is frozen and
-    holds only ints and tuples, so every caller can share one result. Every
+    Memoized for the last 256 distinct n. A FactoredInteger is a tuple of
+    ints and tuples, so every caller can share one result. Every
     torsor of a side has the same constant b1 b2, so a descend factors three
     integers, -k^2, the phi constant and k, however many torsors it tests.
     Errors are not cached: factor(0) or an n over the budget raises on every

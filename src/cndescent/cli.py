@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .criteria import residue_profile
 from .descent import descend, selmer_group
@@ -91,7 +90,7 @@ def _cmd_grid(args):
     entries, lines = [], []
     all_ok = True
     for i, row in enumerate(REFERENCE_GRID, start=1):
-        entry = {"row": i, **asdict(row)}
+        entry = {"row": i, **row._asdict()}
         tail = ""
         if args.verify:
             ok = all(c.passed for c in check_grid_row(i, row))
@@ -125,7 +124,7 @@ def _cmd_survey(args):
 
 def _cmd_verify(args):
     report = verify_reference()
-    value = {"passed": report.passed, "checks": [asdict(c) for c in report.checks]}
+    value = {"passed": report.passed, "checks": [c._asdict() for c in report.checks]}
     return 0 if report.passed else 1, value, report.render()
 
 

@@ -15,29 +15,28 @@ partner curve the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .arith import factor
 from .criteria import classify_auto, selmer_rank_bound
 from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
+from .record import Record
 from .sqclass import SquareClassGroup, _extend, squarefree_mul
 
 PSI = "psi"
 PHI = "phi"
 
 
-@dataclass(frozen=True)
-class Torsor:
+class Torsor(NamedTuple):
     side: str
     b1: int
     b2: int
 
 
-@dataclass(frozen=True)
-class TorsorPoint:
+class TorsorPoint(NamedTuple):
     N: int
     M: int
     e: int
@@ -402,23 +401,39 @@ def witnesses_json(witnesses: dict[str, dict[int, TorsorPoint]]) -> dict:
     }
 
 
-@dataclass
-class DescentReport:
-    k: int
-    selmer_psi: SquareClassGroup
-    selmer_phi: SquareClassGroup
-    w_psi: SquareClassGroup
-    w_phi: SquareClassGroup
-    sha_psi_cert: SquareClassGroup
-    sha_phi_cert: SquareClassGroup
-    rank_lower: int
-    rank_upper: int
-    sha2_dim: int | None
-    noncongruent: bool
-    height: int
-    witnesses: dict[str, dict[int, TorsorPoint]]
-    classification: object | None = None
-    notes: tuple[str, ...] = ()
+class DescentReport(Record):
+    """What `descend` found for k. Immutable like every record; its
+    witnesses are dicts, so hashing a report raises TypeError."""
+
+    __slots__ = (
+        "k", "selmer_psi", "selmer_phi", "w_psi", "w_phi", "sha_psi_cert",
+        "sha_phi_cert", "rank_lower", "rank_upper", "sha2_dim", "noncongruent",
+        "height", "witnesses", "classification", "notes",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        selmer_psi: SquareClassGroup,
+        selmer_phi: SquareClassGroup,
+        w_psi: SquareClassGroup,
+        w_phi: SquareClassGroup,
+        sha_psi_cert: SquareClassGroup,
+        sha_phi_cert: SquareClassGroup,
+        rank_lower: int,
+        rank_upper: int,
+        sha2_dim: int | None,
+        noncongruent: bool,
+        height: int,
+        witnesses: dict[str, dict[int, TorsorPoint]],
+        classification: object | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        self._set(
+            k, selmer_psi, selmer_phi, w_psi, w_phi, sha_psi_cert, sha_phi_cert,
+            rank_lower, rank_upper, sha2_dim, noncongruent, height, witnesses,
+            classification, notes,
+        )
 
     def to_json(self) -> dict:
         return {

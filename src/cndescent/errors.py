@@ -54,16 +54,17 @@ class FamilyMismatch(DescentError):
     """Classifier invoked outside the residue family it covers."""
 
 
-class HypothesisViolated(DescentError):
-    """Witness data does not satisfy the defining equations."""
-
-
 class BudgetExceeded(DescentError):
     """Bounded search exhausted without a conclusive answer."""
 
 
 class FactorBudgetExceeded(BudgetExceeded):
     """Factoring gave up within the configured effort bound."""
+
+
+class FrozenRecord(DescentError, AttributeError):
+    """Assignment to a field of an immutable record; an `AttributeError`
+    too, as for any read-only attribute."""
 
 
 class PreconditionUnmet(DescentError, ValueError):

@@ -13,8 +13,8 @@ check the arguments, call the kernels and box the results in `QuadInt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .arith import is_prime, jacobi
 from .errors import (
@@ -26,10 +26,10 @@ from .errors import (
     PreconditionUnmet,
     UndefinedSymbol,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(NamedTuple):
     name: str
     omega2: int  # omega^2: -1, 2, or -2
 
@@ -44,13 +44,13 @@ SQRTM2 = Ring("Z[sqrt-2]", -2)
 RINGS = (GAUSS, SQRT2, SQRTM2)
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Record):
     """a + b*omega in the given ring."""
 
-    ring: Ring
-    a: int
-    b: int
+    __slots__ = ("ring", "a", "b")
+
+    def __init__(self, ring: Ring, a: int, b: int):
+        self._set(ring, a, b)
 
     @property
     def norm(self) -> int:

@@ -3,13 +3,13 @@ the label group over the basis (2, p, l) in which the criteria name them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import itemgetter, xor
 
 from .arith import factor
 from .errors import NotAGroup, PreconditionUnmet
+from .record import Record
 
 
 def squarefree_mul(a: int, b: int) -> int:
@@ -34,15 +34,17 @@ def _extend(group: set, candidates, mul) -> list:
     return basis
 
 
-@dataclass(frozen=True)
-class SquareClassGroup:
+class SquareClassGroup(Record):
     """A finite subgroup of Q*/Q*^2 as a frozenset of squarefree ints.
 
     Always contains 1. Construct with `span` (closure of generators) or
     `from_elements` (verifies closure, raises NotAGroup otherwise).
     """
 
-    elements: frozenset[int]
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: frozenset[int]):
+        object.__setattr__(self, "elements", elements)  # built on every span
 
     @staticmethod
     def span(*generators: int) -> "SquareClassGroup":

@@ -10,7 +10,7 @@ reports mismatches as data rather than exceptions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import jacobi, primes_in
 from .criteria import (
@@ -29,56 +29,74 @@ from .criteria import (
 from .descent import descend, selmer_group, witnesses_json
 from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet
 from .quadring import SQRT2, symbol_capital
+from .record import Record
 from .sqclass import SquareClassGroup, concretize, label_span
 
 # --- family specification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """One sampled family: either k = 2p (two_p=True) or k = pl with both
     primes in a fixed residue class mod 8, optionally filtered by (p/l).
     `bound` caps the primes, not k: the density statements this module
     measures are statements about prime pairs, so the sample must be a box
     in (p, l), not in pl."""
 
-    bound: int
-    residues: tuple[int, int] | None = None
-    two_p: bool = False
-    legendre: int | None = None
+    __slots__ = ("bound", "residues", "two_p", "legendre")
 
-    def __post_init__(self):
-        if self.bound < 3:
-            raise PreconditionUnmet(f"bound must be >= 3, got {self.bound}")
-        if self.two_p == (self.residues is not None):
+    def __init__(
+        self,
+        bound: int,
+        residues: tuple[int, int] | None = None,
+        two_p: bool = False,
+        legendre: int | None = None,
+    ):
+        if bound < 3:
+            raise PreconditionUnmet(f"bound must be >= 3, got {bound}")
+        if two_p == (residues is not None):
             raise PreconditionUnmet("exactly one of two_p / residues must be set")
-        if self.residues is not None:
-            r1, r2 = self.residues
+        if residues is not None:
+            r1, r2 = residues
             if r1 not in (1, 3, 5, 7) or r2 not in (1, 3, 5, 7):
-                raise PreconditionUnmet(f"residues must lie in {{1,3,5,7}}, got {self.residues}")
+                raise PreconditionUnmet(f"residues must lie in {{1,3,5,7}}, got {residues}")
             if r1 != r2:
                 raise FamilyMismatch(
-                    f"mixed residue classes {self.residues} have no classification"
+                    f"mixed residue classes {residues} have no classification"
                 )
-        if self.legendre not in (None, 1, -1):
-            raise PreconditionUnmet(f"legendre must be +-1 or None, got {self.legendre}")
-        if self.legendre is not None and (self.two_p or self.residues[0] in (3, 7)):
+        if legendre not in (None, 1, -1):
+            raise PreconditionUnmet(f"legendre must be +-1 or None, got {legendre}")
+        if legendre is not None and (two_p or residues[0] in (3, 7)):
             # for p = l = 3 or 7 mod 8 the symbol is antisymmetric, so every
             # unordered pair matches both signs and the filter selects nothing
             raise PreconditionUnmet("legendre filter only applies to residues 1 or 5")
+        self._set(bound, residues, two_p, legendre)
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    k: int
-    p: int
-    l: int | None
-    profile: ResidueProfile | None
-    rank_lower: int
-    rank_upper: int
-    sha_psi: SquareClassGroup
-    sha_phi: SquareClassGroup
-    witnesses: dict = field(default_factory=dict, compare=False)
+class SurveyRow(Record):
+    """One classified k; equality and hashing leave out `witnesses`."""
+
+    __slots__ = (
+        "k", "p", "l", "profile", "rank_lower", "rank_upper", "sha_psi", "sha_phi",
+        "witnesses",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        p: int,
+        l: int | None,
+        profile: ResidueProfile | None,
+        rank_lower: int,
+        rank_upper: int,
+        sha_psi: SquareClassGroup,
+        sha_phi: SquareClassGroup,
+        witnesses: dict | None = None,
+    ):
+        witnesses = {} if witnesses is None else witnesses
+        self._set(k, p, l, profile, rank_lower, rank_upper, sha_psi, sha_phi, witnesses)
+
+    def _key(self) -> tuple:
+        return self._values()[:-1]
 
     def to_json(self) -> dict:
         return {
@@ -94,8 +112,7 @@ class SurveyRow:
         }
 
 
-@dataclass(frozen=True)
-class SurveySummary:
+class SurveySummary(NamedTuple):
     total: int
     rank_zero: int
     per_profile: dict
@@ -209,8 +226,7 @@ def smallest_example(profile: ResidueProfile, bound: int = 10**5) -> tuple[int, 
 # --- the reference grid and regression checks -------------------------------------
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     """One printed row: profile signs, certified subgroup generators for
     both isogeny directions, the rank bound, the solvable phi-classes, and
     the published example pair."""
@@ -290,15 +306,13 @@ SYMBOL_LIST_LARGE = (
     (94177, 41, 2297, -1),
 )
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[CheckLine, ...]
 
     @property

@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from sympy import divisors, sqrt_mod
 
-from cndescent.arith import half_symbols, is_prime, jacobi, octic_minus4
+from cndescent.arith import is_prime, jacobi, octic_minus4
 from cndescent.errors import (
     BadResidueClass,
     BudgetExceeded,
@@ -24,6 +24,8 @@ from cndescent.errors import (
     InconsistentCriteria,
     PreconditionUnmet,
 )
+
+from witness_oracle import half_symbols
 
 
 class NoRepresentation(DescentError):

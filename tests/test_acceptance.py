@@ -12,7 +12,6 @@ import random
 import time
 
 from cndescent.arith import (
-    half_symbols,
     jacobi,
     octic_minus4,
     primes_in,
@@ -20,7 +19,6 @@ from cndescent.arith import (
 )
 from cndescent.cli import main as cli_main
 from cndescent.criteria import (
-    check_witness,
     classify_11_plus,
     classify_2p,
     classify_profile,
@@ -54,6 +52,7 @@ from classfield_oracle import (
     strict_two_principal,
 )
 from test_descent import reference_search_points
+from witness_oracle import check_witness, half_symbols
 
 
 def test_grid_examples_match_printed_profiles():

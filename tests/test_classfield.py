@@ -272,7 +272,8 @@ def test_strict_two_principal_fixtures():
 
 
 def test_strict_two_principal_matches_quartic_symbol():
-    from cndescent.arith import half_symbols, octic_minus4
+    from cndescent.arith import octic_minus4
+    from witness_oracle import half_symbols
 
     for l in primes_in(17, 800, residue=1, mod=8):
         if octic_minus4(l) != -1:

@@ -1,7 +1,9 @@
 """Front-end behavior: output shapes, exit codes, JSON round trips."""
 
-import dataclasses
+import hashlib
 import json
+
+import pytest
 
 from cndescent import cli, survey
 from cndescent.cli import main
@@ -83,7 +85,7 @@ def test_grid_verify(capsys):
 
 def test_grid_verify_flags_a_wrong_w_column(capsys, monkeypatch):
     grid = list(cli.REFERENCE_GRID)
-    grid[0] = dataclasses.replace(grid[0], w_phi=("2", "p"))  # true W is <2, p, l>
+    grid[0] = grid[0]._replace(w_phi=("2", "p"))  # true W is <2, p, l>
     monkeypatch.setattr(cli, "REFERENCE_GRID", tuple(grid))
     code, out = run(capsys, ["grid", "--verify", "--json"])
     assert code == 1
@@ -96,7 +98,7 @@ def test_grid_verify_flags_a_wrong_psi_column(capsys, monkeypatch):
     # row 4 certifies Sha^psi = <p>; <2l> has the same dimension
     grid = list(cli.REFERENCE_GRID)
     assert grid[3].sha_psi == ("p",)
-    grid[3] = dataclasses.replace(grid[3], sha_psi=("2l",))
+    grid[3] = grid[3]._replace(sha_psi=("2l",))
     assert not check_grid_row(4, grid[3])[0].passed
     assert check_grid_row(4, cli.REFERENCE_GRID[3])[0].passed
     monkeypatch.setattr(cli, "REFERENCE_GRID", tuple(grid))
@@ -150,3 +152,24 @@ def test_exit_codes(capsys):
     assert run(capsys, ["survey", "--residues", "1,5", "--bound", "100"])[0] == 1
     # the legendre filter selects nothing on the 2p family
     assert run(capsys, ["survey", "--two-p", "--legendre", "1"])[0] == 1
+
+
+# sha256 of each command's stdout, taken when the records were dataclasses
+# and grid and verify serialised them through dataclasses.asdict
+PINNED_OUTPUTS = {
+    "grid --json": "ab1cf073c787bc1512be685717da8465770b515090b6b4e97596b87253d9769d",
+    "verify --json": "2730dfd9f142eafc7962fa33bda1c4ba810cc40f0f37dde1f39c8212094e37fb",
+    "classify --k 157 --height 200 --json":
+        "2c4d8f10fa6192455715fccb55cfe6f8cf623c0761943598462366ac240bb815",
+    "profile --p 17 --l 89 --json":
+        "d9ee8fa44e686fd8920f5342662d994d739f6b208935c9c9a8d22bee8827b7e0",
+    "survey --residues 1,1 --legendre 1 --bound 500":
+        "d9f555b0fcca6dcd350c20a03f55864f89f2bae19b45ab3b71bb570dc5dc71f3",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(capsys, command):
+    code, out = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[command]

@@ -1,6 +1,7 @@
 """The argument contract: every public callable, given a hostile value of an
 arithmetic argument, answers or raises a `DescentError`, and never another
-exception type, a hang or an exhausted host.
+exception type, a hang or an exhausted host. The callables of the witness
+oracle in `tests/witness_oracle.py` keep the same contract.
 
 One child process, capped at 1 GiB of address space, evaluates every probe
 below and reports each outcome. Work-size arguments (`height`, `bound`, wide
@@ -9,23 +10,15 @@ budgets, so every probe keeps them small.
 """
 
 import json
+from pathlib import Path
 
 import cndescent
 
+import witness_oracle
 from test_descent import _run_child
 
 # the expected outcome of each probe: "answer", or the DescentError it raises
 PROBES = {
-    "half_symbols": {
-        "half_symbols(17)": "answer",
-        "half_symbols(0)": "BadResidueClass",
-        "half_symbols(1)": "BadResidueClass",
-        "half_symbols(-17)": "BadResidueClass",
-        "half_symbols(9)": "BadResidueClass",
-        "half_symbols(697)": "BadResidueClass",
-        "half_symbols(5)": "BadResidueClass",
-        "half_symbols(BIG)": "BadResidueClass",
-    },
     "jacobi": {
         "jacobi(2, 17)": "answer",
         "jacobi(1, 0)": "NonOddModulus",
@@ -68,29 +61,6 @@ PROBES = {
         "quartic_symbol(3, 17)": "UndefinedSymbol",
         "quartic_symbol(-1, 13)": "answer",
         "quartic_symbol(2, BIG)": "BadResidueClass",
-    },
-    "check_witness": {
-        "check_witness(41, 113, (3936, 25, 1))": "answer",
-        "check_witness(1, 0, (1, 1, 1))": "HypothesisViolated",
-        "check_witness(0, 0, (0, 0, 0))": "HypothesisViolated",
-        "check_witness(41, 41, (3936, 25, 1))": "HypothesisViolated",
-        "check_witness(-41, 113, (3936, 25, 1))": "HypothesisViolated",
-        "check_witness(41, 697, (3936, 25, 1))": "HypothesisViolated",
-        "check_witness(41, 113, (0, 0, 0))": "HypothesisViolated",
-        "check_witness(41, 113, (3936, 25, 2))": "HypothesisViolated",
-        "check_witness(3, 11, (1, 1, 1))": "HypothesisViolated",
-        "check_witness(41, BIG, (1, 1, 1))": "HypothesisViolated",
-    },
-    "decompose_psi_point": {
-        "decompose_psi_point(41, 113, (3936, 25, 1))": "answer",
-        "decompose_psi_point(1, 0, (1, 1, 1))": "HypothesisViolated",
-        "decompose_psi_point(0, 0, (0, 0, 0))": "HypothesisViolated",
-        "decompose_psi_point(41, 41, (3936, 25, 1))": "HypothesisViolated",
-        "decompose_psi_point(113, -41, (3936, 25, 1))": "HypothesisViolated",
-        "decompose_psi_point(9, 113, (3936, 25, 1))": "HypothesisViolated",
-        "decompose_psi_point(41, 113, (-3936, -25, 1))": "answer",
-        "decompose_psi_point(41, 113, (3936, 25, 0))": "HypothesisViolated",
-        "decompose_psi_point(BIG, 41, (1, 1, 1))": "HypothesisViolated",
     },
     "classify_2p": {
         "classify_2p(17)": "answer",
@@ -300,6 +270,43 @@ PROBES = {
     "verify_reference": {"verify_reference()": "answer"},
 }
 
+# the same contract for the callables of the witness oracle, which is test code
+ORACLE_PROBES = {
+    "half_symbols": {
+        "half_symbols(17)": "answer",
+        "half_symbols(0)": "BadResidueClass",
+        "half_symbols(1)": "BadResidueClass",
+        "half_symbols(-17)": "BadResidueClass",
+        "half_symbols(9)": "BadResidueClass",
+        "half_symbols(697)": "BadResidueClass",
+        "half_symbols(5)": "BadResidueClass",
+        "half_symbols(BIG)": "BadResidueClass",
+    },
+    "check_witness": {
+        "check_witness(41, 113, (3936, 25, 1))": "answer",
+        "check_witness(1, 0, (1, 1, 1))": "HypothesisViolated",
+        "check_witness(0, 0, (0, 0, 0))": "HypothesisViolated",
+        "check_witness(41, 41, (3936, 25, 1))": "HypothesisViolated",
+        "check_witness(-41, 113, (3936, 25, 1))": "HypothesisViolated",
+        "check_witness(41, 697, (3936, 25, 1))": "HypothesisViolated",
+        "check_witness(41, 113, (0, 0, 0))": "HypothesisViolated",
+        "check_witness(41, 113, (3936, 25, 2))": "HypothesisViolated",
+        "check_witness(3, 11, (1, 1, 1))": "HypothesisViolated",
+        "check_witness(41, BIG, (1, 1, 1))": "HypothesisViolated",
+    },
+    "decompose_psi_point": {
+        "decompose_psi_point(41, 113, (3936, 25, 1))": "answer",
+        "decompose_psi_point(1, 0, (1, 1, 1))": "HypothesisViolated",
+        "decompose_psi_point(0, 0, (0, 0, 0))": "HypothesisViolated",
+        "decompose_psi_point(41, 41, (3936, 25, 1))": "HypothesisViolated",
+        "decompose_psi_point(113, -41, (3936, 25, 1))": "HypothesisViolated",
+        "decompose_psi_point(9, 113, (3936, 25, 1))": "HypothesisViolated",
+        "decompose_psi_point(41, 113, (-3936, -25, 1))": "answer",
+        "decompose_psi_point(41, 113, (3936, 25, 0))": "HypothesisViolated",
+        "decompose_psi_point(BIG, 41, (1, 1, 1))": "HypothesisViolated",
+    },
+}
+
 # names of `cndescent.__all__` with no arithmetic argument to probe
 EXEMPT = {
     "ALL_PROFILES": "constant",
@@ -310,7 +317,7 @@ EXEMPT = {
     "SQRT2": "constant",
     "SQRTM2": "constant",
     "Torsor": "plain record; search_points and locally_solvable check its fields",
-    "TorsorPoint": "plain record; check_witness and decompose_psi_point check it",
+    "TorsorPoint": "plain record; the witness oracle's decompose_psi_point checks it",
     "ResidueProfile": "plain record; classify_profile checks its signs",
     "Classification": "plain record the classifiers build",
     "DescentReport": "plain record descend builds",
@@ -318,10 +325,12 @@ EXEMPT = {
 }
 
 _CHILD = """
-import json, resource
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, {tests!r})
 from cndescent import *
 from cndescent.quadring import QuadInt
+from witness_oracle import check_witness, decompose_psi_point, half_symbols
 BIG = 10**19 + 1  # past factor's budget of 10^18
 for call in {calls!r}:
     try:
@@ -336,8 +345,9 @@ for call in {calls!r}:
 
 
 def test_hostile_arguments_answer_or_raise_a_descent_error():
-    expected = {call: out for probes in PROBES.values() for call, out in probes.items()}
-    out = _run_child(_CHILD.format(calls=list(expected)))
+    tables = {**PROBES, **ORACLE_PROBES}
+    expected = {call: out for probes in tables.values() for call, out in probes.items()}
+    out = _run_child(_CHILD.format(tests=str(Path(__file__).parent), calls=list(expected)))
     got = dict(json.loads(line) for line in out.splitlines())
     assert {c: o for c, o in got.items() if o.startswith("not a")} == {}
     assert {c: o for c, o in got.items() if o != expected[c]} == {}
@@ -348,3 +358,5 @@ def test_every_public_name_has_an_entry():
     assert sorted(names - PROBES.keys() - EXEMPT.keys()) == []
     assert sorted((PROBES.keys() | EXEMPT.keys()) - names) == []
     assert sorted(PROBES.keys() & EXEMPT.keys()) == []
+    assert sorted(ORACLE_PROBES.keys() & names) == []
+    assert all(callable(getattr(witness_oracle, name)) for name in ORACLE_PROBES)

@@ -13,24 +13,19 @@ from cndescent.criteria import (
     ALL_PROFILES,
     PSI_CASES,
     ResidueProfile,
-    check_witness,
     classify_11_minus,
     classify_11_plus,
     classify_2p,
     classify_auto,
     classify_profile,
     classify_small_residues,
-    decompose_psi_point,
     phi_pass_classes,
     psi_case_holds,
     psi_obstructed,
     residue_profile,
-    square_pair_relations,
-    witness_fixed_sign,
-    witness_octic_sign,
 )
 from cndescent.descent import PSI, Torsor, descend, search_points
-from cndescent.errors import FamilyMismatch, HypothesisViolated
+from cndescent.errors import FamilyMismatch
 from cndescent.quadring import (
     GAUSS,
     SQRT2,
@@ -41,6 +36,16 @@ from cndescent.quadring import (
     symbol_capital,
 )
 from cndescent.sqclass import SquareClassGroup
+
+import witness_oracle
+from witness_oracle import (
+    HypothesisViolated,
+    check_witness,
+    decompose_psi_point,
+    square_pair_relations,
+    witness_fixed_sign,
+    witness_octic_sign,
+)
 
 
 def primes_with(residue, modulus, count, start=3):
@@ -416,7 +421,7 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
         raise FamilyMismatch(
             "need squarefree positive k with all prime factors = 1 mod 8"
         )
-    if not criteria._mutual_residues(ps):
+    if not witness_oracle._mutual_residues(ps):
         raise FamilyMismatch(f"the prime factors of k = {k} are not mutual residues")
     if a_div <= 0 or k % a_div != 0:
         raise FamilyMismatch(f"A = {a_div} is not a positive divisor of k = {k}")
@@ -430,7 +435,7 @@ def phi_divisor_conditions(k: int, a_div: int) -> dict[str, bool]:
     cond1 = prod(octic_minus4(q) for q in a_primes) == 1
     cond2 = all(ring_symbol(alpha, primary[q]) == 1 for q in b_primes)
     cond3 = all(
-        octic_minus4(q) == arith.quartic_symbol_product(b_div, q) for q in a_primes
+        octic_minus4(q) == witness_oracle.quartic_symbol_product(b_div, q) for q in a_primes
     )
     cond4 = all(
         ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), g) == 1
@@ -502,7 +507,7 @@ def reference_phi_divisor_conditions(k, a_div):
             for parts in alphas
         ),
         "A_octic_matches_B_quartic": all(
-            octic_minus4(q) == arith.quartic_symbol_product(b_div, q) for q in a_primes
+            octic_minus4(q) == witness_oracle.quartic_symbol_product(b_div, q) for q in a_primes
         ),
         "cofactor_symbols_trivial": all(
             ring_symbol(prod(parts[:i] + parts[i + 1 :], start=one), piq) == 1

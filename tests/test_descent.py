@@ -1,6 +1,5 @@
 """Local solvability, Selmer groups, point search, and the full descent."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -633,8 +632,7 @@ def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
     real = descent.classify_auto
 
     def wrong(k):
-        return dataclasses.replace(
-            real(k),
+        return real(k)._replace(
             selmer_phi=SquareClassGroup.span(2),
             sha_psi=SquareClassGroup.span(3),
         )
@@ -697,7 +695,7 @@ def test_descend_drops_a_w_bound_outside_the_selmer_group(monkeypatch):
     real = descent.classify_auto
     forged = SquareClassGroup.span(3, 3026)
     monkeypatch.setattr(
-        descent, "classify_auto", lambda k: dataclasses.replace(real(k), w_phi=forged)
+        descent, "classify_auto", lambda k: real(k)._replace(w_phi=forged)
     )
     searched = []
 

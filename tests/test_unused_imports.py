@@ -4,8 +4,8 @@ parameter default is overridden by some call (else it is a constant), every
 error class is raised or subclassed, every `raise` names an error class
 (the argument contract: a rejected argument raises a `DescentError`), every
 name in `cndescent.__all__` resolves and is listed once, and importing the
-CLI loads no third-party package: sympy is a test oracle only. The tests
-import only what they use, too.
+CLI loads no third-party package (sympy is a test oracle only) and neither
+`dataclasses` nor `inspect`. The tests import only what they use, too.
 
 `__init__` is exempt from the import check: its imports are the public
 re-exports.
@@ -313,3 +313,14 @@ def test_runtime_does_not_import_sympy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_does_not_import_dataclasses():
+    # the records are NamedTuples and Record subclasses: `dataclasses`, and
+    # the `inspect` it pulls in, would add about 10 ms to every cold start
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import cndescent.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"
