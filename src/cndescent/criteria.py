@@ -121,8 +121,6 @@ ALL_PROFILES = tuple(ResidueProfile(*signs) for signs in product((1, -1), repeat
 
 # --- psi side: eight solvability cases for T(p) ------------------------------
 
-PSI_CASES = ("1Aa", "1Ab", "1Ba", "1Bb", "2Aa", "2Ab", "2Ba", "2Bb")
-
 
 def _psi_cases(profile: ResidueProfile) -> dict[str, tuple[int, bool]]:
     """Per case: the value of [P/L] a point in that case forces, and whether
@@ -138,21 +136,6 @@ def _psi_cases(profile: ResidueProfile) -> dict[str, tuple[int, bool]]:
         "2Ba": (c * d, b == 1 and a * d == 1),
         "2Bb": (1, b == 1 and d == 1),
     }
-
-
-def psi_case_holds(case: str, profile: ResidueProfile) -> bool:
-    """Necessary conditions on the profile for a T(p) point in this case.
-
-    A global point on N^2 = p M^4 - p l^2 e^4 falls into exactly one of
-    eight cases by the parities of e and N/p, whether l | M, and which of
-    M^2 +- l e^2 the prime p divides; each case forces three sign
-    conditions. If all eight fail, T(p) has no rational point.
-    """
-    try:
-        forced, others = _psi_cases(profile)[case]
-    except KeyError:
-        raise PreconditionUnmet(f"unknown case label {case!r}") from None
-    return forced == profile.pi and others
 
 
 def psi_obstructed(profile: ResidueProfile) -> bool:
@@ -252,7 +235,10 @@ _ONE = SquareClassGroup.trivial()
 
 class Classification(NamedTuple):
     """Everything the residue criteria can say about k = pl (or 2p when l
-    is None); the rank bound is that of selmer_rank_bound."""
+    is None); the rank bound is that of selmer_rank_bound. Each
+    certificate lies inside its Selmer group and W^phi inside Sel^phi;
+    `descend` takes criteria that break this, or disagree with the
+    computed groups, not at all."""
 
     family: str
     p: int

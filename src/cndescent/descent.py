@@ -21,7 +21,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import factor
-from .criteria import classify_auto, selmer_rank_bound
+from .criteria import Classification, classify_auto, selmer_rank_bound
 from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
 from .record import Record
 from .sqclass import SquareClassGroup, _extend, squarefree_mul
@@ -464,8 +464,34 @@ def _free_classes(k: int, side: str) -> dict[int, TorsorPoint]:
     return {b1: TorsorPoint(*t) for b1, t in pts.items()}
 
 
+def _contradiction(cls: Classification, selmer: dict, torsion: dict) -> str | None:
+    """The first way the family's criteria contradict the computed descent,
+    as a note, or None when they can be taken whole: equal Selmer groups,
+    each certificate inside its Selmer group and meeting the torsion
+    classes only in 1, and W^phi inside Sel^phi."""
+    for side, expected in ((PSI, cls.selmer_psi), (PHI, cls.selmer_phi)):
+        if expected != selmer[side]:
+            return (
+                f"selmer mismatch on {side}: computed {selmer[side].describe()}, "
+                f"criteria expected {expected.describe()}"
+            )
+    for side, cert in ((PSI, cls.sha_psi), (PHI, cls.sha_phi)):
+        if not cert <= selmer[side]:
+            return f"{side} certificate {cert.describe()} is not inside the Selmer group"
+        if cert.elements & torsion[side].keys() != {1}:
+            return f"{side} certificate {cert.describe()} has a torsion class"
+    if not cls.w_phi <= selmer[PHI]:
+        return f"phi W bound {cls.w_phi.describe()} is not inside the Selmer group"
+    return None
+
+
 def descend(k: int, height: int = 1000) -> DescentReport:
     """Full descent: Selmer groups, point search, certificates, bounds.
+
+    A family's criteria are taken whole or not at all. When they agree with
+    the computed descent (see _contradiction), the certificates lower the
+    rank bound and the phi search walks only W^phi; otherwise one note names
+    the first contradiction and descend runs as for a k no family covers.
 
     Each side grows W and ws = W * Sha from the torsion classes. A class
     w s of ws outside W has no point, which would put s in W, so the search
@@ -474,57 +500,28 @@ def descend(k: int, height: int = 1000) -> DescentReport:
     """
     if height < 0:
         raise PreconditionUnmet(f"height must be >= 0, got {height}")
-    notes: list[str] = []
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
+    witnesses = {s: _free_classes(k, s) for s in (PSI, PHI)}
+    for side, torsion in witnesses.items():
+        if not torsion.keys() <= selmer[side].elements:
+            raise InconsistentCriteria(f"torsion class missing from the {side} Selmer group")
 
     cls = classify_auto(k)
-    sha_cert = {PSI: SquareClassGroup.trivial(), PHI: SquareClassGroup.trivial()}
-    candidates = dict(selmer)  # the classes each side may search
-    if cls is not None:
-        for side, cert, expected in (
-            (PSI, cls.sha_psi, cls.selmer_psi),
-            (PHI, cls.sha_phi, cls.selmer_phi),
-        ):
-            if expected != selmer[side]:
-                notes.append(
-                    f"selmer mismatch on {side}: computed "
-                    f"{selmer[side].describe()}, criteria expected "
-                    f"{expected.describe()}"
-                )
-            if cert <= selmer[side]:
-                sha_cert[side] = cert
-            else:
-                notes.append(
-                    f"dropping {side} obstruction certificate "
-                    f"{cert.describe()}: not inside the Selmer group"
-                )
-        # the phi classes the criteria allow in W; psi has no such bound
-        if not notes and cls.w_phi <= selmer[PHI]:
-            candidates[PHI] = cls.w_phi
-        elif not notes:
-            notes.append(
-                f"dropping phi W bound {cls.w_phi.describe()}: "
-                "not inside the Selmer group"
-            )
+    note = None if cls is None else _contradiction(cls, selmer, witnesses)
+    if cls is None or note is not None:
+        sha_cert = dict.fromkeys((PSI, PHI), SquareClassGroup.trivial())
+        candidates = dict(selmer)  # the classes each side may search
+    else:
+        sha_cert = {PSI: cls.sha_psi, PHI: cls.sha_phi}
+        candidates = {PSI: selmer[PSI], PHI: cls.w_phi}  # psi has no W bound
 
-    witnesses: dict[str, dict[int, TorsorPoint]] = {}
     w_found: dict[str, SquareClassGroup] = {}
     for side in (PSI, PHI):
         const = _torsor_constant(k, side)
-        witnesses[side] = _free_classes(k, side)
-        gens = list(witnesses[side])
-        for b1 in gens:
-            if b1 not in selmer[side]:
-                raise InconsistentCriteria(
-                    f"torsion class {b1} missing from the {side} Selmer group"
-                )
         w = {1}  # W, grown in place by each class with a point
-        _extend(w, gens, squarefree_mul)
+        _extend(w, witnesses[side], squarefree_mul)
         ws = set(w)  # W * Sha
-        if len(_extend(ws, sha_cert[side], squarefree_mul)) < sha_cert[side].dim:
-            raise InconsistentCriteria(
-                f"{side} certificate {sha_cert[side].describe()} has a torsion class"
-            )
+        _extend(ws, sha_cert[side], squarefree_mul)
         for b1 in candidates[side]:
             if b1 in ws:
                 continue
@@ -558,5 +555,5 @@ def descend(k: int, height: int = 1000) -> DescentReport:
         height=height,
         witnesses=witnesses,
         classification=cls,
-        notes=tuple(notes),
+        notes=() if note is None else (note,),
     )

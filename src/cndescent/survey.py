@@ -172,8 +172,8 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
 
 
 def _build_row(c: Classification, height: int) -> SurveyRow:
-    # descend's bound already folds in every certificate that agrees with
-    # the computed Selmer groups; a disagreeing one proves nothing
+    # descend takes the family's criteria whole when they agree with the
+    # computed descent and not at all otherwise: a contradicted one proves nothing
     rank_lower, rank_upper, witnesses = 0, c.rank_bound, {}
     if height > 0:
         rep = descend(c.k, height=height)
@@ -212,8 +212,9 @@ def smallest_example(profile: ResidueProfile, bound: int = 10**5) -> tuple[int, 
     pairs = []
     for i, p in enumerate(ps):
         for l in ps[i + 1 :]:
-            if p * l <= bound:
-                pairs.append((p * l, p, l))
+            if p * l > bound:  # ps ascends, so every later l is too large
+                break
+            pairs.append((p * l, p, l))
     pairs.sort()
     for _, p, l in pairs:
         if jacobi(p, l) != 1:

@@ -11,7 +11,6 @@ from cndescent import arith, criteria, quadring
 from cndescent.arith import is_prime, jacobi, octic_minus4, primes_in, quartic_symbol
 from cndescent.criteria import (
     ALL_PROFILES,
-    PSI_CASES,
     ResidueProfile,
     classify_11_minus,
     classify_11_plus,
@@ -20,7 +19,6 @@ from cndescent.criteria import (
     classify_profile,
     classify_small_residues,
     phi_pass_classes,
-    psi_case_holds,
     psi_obstructed,
     residue_profile,
 )
@@ -39,9 +37,11 @@ from cndescent.sqclass import SquareClassGroup
 
 import witness_oracle
 from witness_oracle import (
+    PSI_CASES,
     HypothesisViolated,
     check_witness,
     decompose_psi_point,
+    psi_case_holds,
     square_pair_relations,
     witness_fixed_sign,
     witness_octic_sign,

@@ -626,9 +626,42 @@ def test_descend_enumerates_each_side_once(monkeypatch):
     assert sorted(calls) == [PHI, PSI]
 
 
+def _descend_beside_uncovered(monkeypatch, k: int, height: int):
+    """descend(k, height) under a classifier that covers no k, then under
+    the classifier in place, which stays; each report with the torsors its
+    search visited."""
+    runs = []
+    for classifier in (lambda k: None, descent.classify_auto):
+        searched = []
+
+        def recorded(torsor, height, stop_at_first=False):
+            searched.append((torsor.side, torsor.b1))
+            return search_points(torsor, height, stop_at_first)
+
+        monkeypatch.setattr(descent, "classify_auto", classifier)
+        monkeypatch.setattr(descent, "search_points", recorded)
+        runs.append((descend(k, height), searched))
+    return runs
+
+
+def _assert_run_as_uncovered(monkeypatch, k: int, height: int, note: str):
+    """Criteria that contradict the computed descent are taken not at all:
+    one note, trivial certificates, a phi search over all of Sel^phi, and
+    otherwise the report and the search of a k no family covers."""
+    (plain, plain_searched), (rep, searched) = _descend_beside_uncovered(monkeypatch, k, height)
+    assert rep.notes == (note,) and plain.notes == ()
+    assert rep.sha_psi_cert == rep.sha_phi_cert == SquareClassGroup.trivial()
+    assert {**rep.to_json(), "notes": []} == plain.to_json()
+    assert searched == plain_searched
+    phi_searched = {b1 for side, b1 in searched if side == PHI}
+    assert phi_searched | set(rep.w_phi) == set(rep.selmer_phi)
+    return rep, searched
+
+
 def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
-    # criteria that disagree with the computed Selmer groups: the mismatch
-    # is noted and a certificate outside the Selmer group is dropped
+    # criteria that disagree with the computed Sel^phi and certify a class
+    # <3> outside Sel^psi: the first contradiction, the mismatch, is the
+    # one note, and neither certificate is used
     real = descent.classify_auto
 
     def wrong(k):
@@ -638,16 +671,26 @@ def test_descend_reports_criteria_it_contradicts(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(descent, "classify_auto", wrong)
-    notes = (
-        "dropping psi obstruction certificate <3>: not inside the Selmer group",
-        "selmer mismatch on phi: computed <2, 41, 113>, criteria expected <2>",
-    )
-    rep = descend(4633, 50)
-    assert rep.notes == notes
-    assert rep.sha_psi_cert == SquareClassGroup.trivial()
+    note = "selmer mismatch on phi: computed <2, 41, 113>, criteria expected <2>"
+    _assert_run_as_uncovered(monkeypatch, 4633, 50, note)
     assert cli.main(["classify", "--k", "4633", "--height", "50"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [f"note: {n}" for n in notes] == out[-2:]
+    assert out[-1] == f"note: {note}" and not out[-2].startswith("note:")
+
+
+@pytest.mark.parametrize("height", [0, 200])
+def test_descend_takes_no_certificate_from_criteria_it_contradicts(monkeypatch, height):
+    # only Sel^phi of 4633 is forged; the family's Sha^phi = <41, 113> lies
+    # inside the computed Sel^phi, but criteria that got Sel^phi wrong
+    # prove nothing, so that certificate must not lower the bound to 2
+    real = descent.classify_auto
+    assert real(4633).sha_phi == SquareClassGroup.span(41, 113)
+    monkeypatch.setattr(
+        descent, "classify_auto", lambda k: real(k)._replace(selmer_phi=SquareClassGroup.span(2))
+    )
+    note = "selmer mismatch on phi: computed <2, 41, 113>, criteria expected <2>"
+    rep, _ = _assert_run_as_uncovered(monkeypatch, 4633, height, note)
+    assert rep.rank_upper == 4
 
 
 def _certify_30030(monkeypatch, sha_psi: SquareClassGroup) -> None:
@@ -682,30 +725,23 @@ def test_descend_skips_w_times_sha(monkeypatch):
 
 
 def test_descend_refuses_a_certified_torsion_class(monkeypatch):
-    # -1 carries the point (k, 0, 1), so a certificate naming it is wrong
+    # -1 carries the point (k, 0, 1), so a certificate naming it is wrong,
+    # and descend takes none of these criteria
     _certify_30030(monkeypatch, SquareClassGroup.span(-1))
-    with pytest.raises(InconsistentCriteria, match="torsion class"):
-        descend(30030, 50)
+    _assert_run_as_uncovered(monkeypatch, 30030, 50, "psi certificate <-1> has a torsion class")
 
 
 def test_descend_drops_a_w_bound_outside_the_selmer_group(monkeypatch):
     # criteria whose W^phi bound holds 3, a class outside Sel^phi(1513) =
-    # <2, 17, 89>: the bound is dropped with a note, so the phi search walks
-    # Sel^phi instead and no torsor outside a Selmer group is searched
+    # <2, 17, 89>: the criteria are dropped with a note, so the phi search
+    # walks Sel^phi instead and no torsor outside a Selmer group is searched
     real = descent.classify_auto
     forged = SquareClassGroup.span(3, 3026)
     monkeypatch.setattr(
         descent, "classify_auto", lambda k: real(k)._replace(w_phi=forged)
     )
-    searched = []
-
-    def recorded(torsor, height, stop_at_first=False):
-        searched.append((torsor.side, torsor.b1))
-        return search_points(torsor, height, stop_at_first)
-
-    monkeypatch.setattr(descent, "search_points", recorded)
-    rep = descend(1513, 50)
-    assert rep.notes == ("dropping phi W bound <3, 3026>: not inside the Selmer group",)
+    note = "phi W bound <3, 3026> is not inside the Selmer group"
+    rep, searched = _assert_run_as_uncovered(monkeypatch, 1513, 50, note)
     selmer = {PSI: rep.selmer_psi, PHI: rep.selmer_phi}
     assert all(b1 in selmer[side] for side, b1 in searched)
     assert (PHI, 3) not in searched and (PHI, 89) in searched

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cndescent import criteria, quadring
+from cndescent.arith import is_prime, jacobi
 from cndescent.criteria import ALL_PROFILES, residue_profile
 from cndescent.errors import BudgetExceeded, FamilyMismatch
 from cndescent.survey import (
@@ -129,6 +130,22 @@ def test_smallest_example_round_trips():
         pr = ALL_PROFILES[idx]
         p, l = smallest_example(pr)
         assert residue_profile(p, l) == pr
+
+
+def test_smallest_example_is_the_least_pair_on_every_profile():
+    # a brute-force scan of every pair of primes p < l, both 1 mod 8, with
+    # pl <= bound and (p/l) = +1, keeping the least (pl, p) per profile
+    bound = 10**5
+    ps = [n for n in range(17, bound // 17 + 1, 8) if is_prime(n)]
+    least = {}
+    for p in ps:
+        for l in ps:
+            if p < l and p * l <= bound and jacobi(p, l) == 1:
+                profile = residue_profile(p, l)
+                least[profile] = min(least.get(profile, (p * l, p, l)), (p * l, p, l))
+    assert len(least) == len(ALL_PROFILES)
+    for profile in ALL_PROFILES:
+        assert smallest_example(profile, bound) == least[profile][1:], profile
 
 
 def test_smallest_example_budget():

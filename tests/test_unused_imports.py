@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every private
 module-level name is referenced somewhere besides its own definition, every
+public one by the package itself or by `cndescent.__all__`, every
 parameter default is overridden by some call (else it is a constant), every
 error class is raised or subclassed, every `raise` names an error class
 (the argument contract: a rejected argument raises a `DescentError`), every
@@ -41,8 +42,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Module-level private functions, classes and constants, by name."""
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and constants, by name; dunders aside."""
     defs: dict[str, ast.stmt] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -54,7 +55,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defs[name] = node
     return defs
 
@@ -85,8 +86,23 @@ def unreferenced_privates(package: dict[str, str], others: list[str]) -> list[st
     out = []
     for mod, tree in trees.items():
         used = set().union(*outside, *(_references(t) for m, t in trees.items() if m != mod))
-        for name, node in _private_definitions(tree).items():
-            if name not in used and name not in _references(tree, skip=node):
+        for name, node in _definitions(tree).items():
+            if name.startswith("_") and name not in used | _references(tree, skip=node):
+                out.append(f"{mod}.{name}")
+    return out
+
+
+def unused_public_names(package: dict[str, str], exported: list[str]) -> list[str]:
+    """'module.name' for each public name of the package modules that no
+    package module uses outside the name's own definition and that
+    `exported`, the package's `__all__`, does not list. The sources that
+    merely import the package, tests among them, do not count."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+    out = []
+    for mod, tree in trees.items():
+        used = set(exported).union(*(_references(t) for m, t in trees.items() if m != mod))
+        for name, node in _definitions(tree).items():
+            if not name.startswith("_") and name not in used | _references(tree, skip=node):
                 out.append(f"{mod}.{name}")
     return out
 
@@ -217,6 +233,19 @@ def test_checker_flags_an_unreferenced_private_name():
     assert unreferenced_privates({"a": a, "b": b}, [tests]) == ["a._SEEN", "a._rec"]
 
 
+def test_checker_flags_a_public_name_only_tests_use():
+    a = (
+        "LIMIT = 3\nCASES = ('x',)\n\n"
+        "def rec(n):\n    return rec(n - 1) if n else LIMIT\n\n"
+        "def used():\n    return 1\n\n"
+        "def exported():\n    return 2\n\n"
+        "class Helper:\n    pass\n\n"
+        "_PRIVATE = 0\n"
+    )
+    b = "from .a import used\n\nprint(used())\n"
+    assert unused_public_names({"a": a, "b": b}, ["exported"]) == ["a.CASES", "a.rec", "a.Helper"]
+
+
 def test_checker_flags_a_default_no_call_passes():
     a = (
         "def f(x, y=1, *, z=2):\n    return x\n\n"
@@ -273,6 +302,12 @@ def test_every_private_name_is_referenced():
     package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     tests = [p.read_text() for p in TESTS]
     assert unreferenced_privates(package, tests) == []
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a public name that only tests call is test code: it belongs in tests/
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert unused_public_names(package, cndescent.__all__) == []
 
 
 def test_every_defaulted_parameter_is_passed():

@@ -20,8 +20,8 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from cndescent.arith import _quartic, factor, is_prime, jacobi, octic_minus4, quartic_symbol
-from cndescent.criteria import _distinct_1mod8_primes, _psi_cases, psi_case_holds, residue_profile
-from cndescent.errors import BadResidueClass, DescentError, InconsistentCriteria
+from cndescent.criteria import ResidueProfile, _distinct_1mod8_primes, _psi_cases, residue_profile
+from cndescent.errors import BadResidueClass, DescentError, InconsistentCriteria, PreconditionUnmet
 
 
 class HypothesisViolated(DescentError):
@@ -50,6 +50,26 @@ def half_symbols(l: int) -> tuple[int, int]:
     if l % 8 != 1 or not is_prime(l):
         raise BadResidueClass(f"half symbols need a prime = 1 mod 8, got {l}")
     return _quartic(2, l), 1 if (l - 1) // 8 % 2 == 0 else -1
+
+
+# --- the psi-case table -------------------------------------------------------
+
+PSI_CASES = ("1Aa", "1Ab", "1Ba", "1Bb", "2Aa", "2Ab", "2Ba", "2Bb")
+
+
+def psi_case_holds(case: str, profile: ResidueProfile) -> bool:
+    """Necessary conditions on the profile for a T(p) point in this case.
+
+    A global point on N^2 = p M^4 - p l^2 e^4 falls into exactly one of
+    eight cases by the parities of e and N/p, whether l | M, and which of
+    M^2 +- l e^2 the prime p divides; each case forces three sign
+    conditions. If all eight fail, T(p) has no rational point.
+    """
+    try:
+        forced, others = _psi_cases(profile)[case]
+    except KeyError:
+        raise PreconditionUnmet(f"unknown case label {case!r}") from None
+    return forced == profile.pi and others
 
 
 def _mutual_residues(primes) -> bool:
