@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -136,6 +136,7 @@ def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> lis
 
 _TRIAL_PRIMES = tuple(primes_in(2, 1000))
 _SMALL_PRIMES = _TRIAL_PRIMES[:13]  # 2 .. 41
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)  # 304250263527210
 
 # (bound, k): Miller-Rabin to the first k primes is exact for n < bound, the
 # least strong pseudoprime to all of them (Jaeschke, Math. Comp. 61 (1993);
@@ -196,17 +197,17 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether the integer n is prime (False for n < 2).
 
-    Trial division by the primes up to 41, then Miller-Rabin to the first k
-    primes, with k chosen by the size of n so that the answer is proven
-    exact below 3.317*10^24. Above that it is BPSW, a strong base-2 test
-    plus a strong Lucas-Selfridge test (Baillie and Wagstaff, Math. Comp.
-    35 (1980)), which no known composite passes.
+    Trial division by the primes up to 41, as one gcd with their product,
+    then Miller-Rabin to the first k primes, with k chosen by the size of
+    n so that the answer is proven exact below 3.317*10^24. Above that it
+    is BPSW, a strong base-2 test plus a strong Lucas-Selfridge test
+    (Baillie and Wagstaff, Math. Comp. 35 (1980)), which no known
+    composite passes.
     """
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    if gcd(n, _SMALL_PRIMORIAL) != 1:  # a prime up to 41 divides n
+        return n in _SMALL_PRIMES
     if n < 43 * 43:
         return True
     for bound, k in _MR_BOUNDS:

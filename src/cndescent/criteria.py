@@ -40,9 +40,8 @@ from .quadring import (
     GAUSS,
     SQRT2,
     QuadInt,
-    _primary,
-    _split,
-    _symbol,
+    _euclid,
+    _root,
     primary_associate,
     primary_associate_mod4,
     ring_symbol,
@@ -78,33 +77,63 @@ def _distinct_1mod8_primes(p: int, l: int) -> bool:
 
 
 # covers the 2,384 primes = 1 mod 8 below 10^5, the largest survey box;
-# about 1 MB when full
+# full of primes near 10^6, the two records hold about 0.8 MB (a root and
+# a sign per prime, `_prime_record`) and 1.4 MB (an int pair per prime,
+# `_generator`), by tracemalloc
 _PRIME_RECORDS = 4096
 
 
 @lru_cache(maxsize=_PRIME_RECORDS)
-def _prime_record(p: int) -> tuple[tuple[int, int], int]:
-    """The per-prime part of a profile, for a checked prime p = 1 mod 8: the
-    primary prime over p in Z[sqrt2] as an int pair, and (-4/p)_8."""
-    w2 = SQRT2.omega2
-    return _primary(*_split(p, w2), w2), _octic(p)
+def _prime_record(q: int) -> tuple[int, int]:
+    """The per-prime part of a profile, for a checked prime q = 1 mod 8: the
+    least root of 2 mod q and (-4/q)_8."""
+    return _root(q, SQRT2.omega2), _octic(q)
+
+
+@lru_cache(maxsize=_PRIME_RECORDS)
+def _generator(p: int) -> tuple[int, int]:
+    """A generator a + b*sqrt2 with b even of a prime over the checked prime
+    p = 1 mod 8, as an int pair: Euclid's gcd of p and r - sqrt2 for the
+    root r of `_prime_record`, times eps = 1 + sqrt2 when b is odd."""
+    a, b = _euclid(p, _prime_record(p)[0], SQRT2.omega2)
+    return (a + 2 * b, a + b) if b % 2 else (a, b)
 
 
 def residue_profile(p: int, l: int) -> ResidueProfile:
     """Profile of an admissible pair: p, l distinct primes = 1 mod 8 with
     (p/l) = +1.
 
-    The pair is checked here on every call, so the symbols come from the
-    unchecked kernels of `symbol_capital`, `quartic_symbol` and
-    `octic_minus4`, and each prime is tested for primality once per call.
-    Each prime's primary prime in Z[sqrt2] and its octic sign come from
-    `_prime_record`, an LRU cache of the `_PRIME_RECORDS` = 4,096 most
-    recently used checked primes, so a survey, where hundreds of pairs
-    share each prime, splits each prime once and computes only [P/L] and
-    the two quartic symbols per pair.
+    The pair is checked here on every call, so the symbols come from
+    unchecked kernels, and each prime is tested for primality once per
+    call. (p/l) is not computed apart: p = 1 mod 4 gives (p/l) = (l/p),
+    and (l/p)_4 is defined exactly when (l/p) = +1.
 
-    (p/l) is not computed apart: p = 1 mod 4 gives (p/l) = (l/p), and
-    (l/p)_4 is defined exactly when (l/p) = +1.
+    [P/L] is the Legendre symbol ((a + b*r)/l), one modular power, for
+    a + b*sqrt2 any generator with b even of a prime P over p and r any
+    root of 2 mod l. Nothing over l is split and no primary associate is
+    sought, for two reasons:
+
+    - Z[sqrt2]/L = F_l sends sqrt2 to one root of 2 mod l, and the
+      conjugate prime L' to the other, so the two roots give [P/L] and
+      [P/L']. Their product is ((a^2 - 2b^2)/l) = (+-p/l) = +1, since
+      (p/l) = +1 and l = 1 mod 4: both roots give one value. The
+      conjugate of P swaps the roots, so it gives that value too.
+    - The units are +-eps^n, eps = 1 + sqrt2, and a is odd as N(P) is, so
+      eps*(a + b*sqrt2) = (a + 2b) + (a + b)*sqrt2 flips the parity of b:
+      the generators with b even are +-eps^(2k)*P. [-1/L] = (-1/l) = +1,
+      and eps^2 = 3 + 2*sqrt2 goes to 3 + 2r = (1 + r)^2, a square. So
+      every such generator gives one value, that of the primary prime of
+      `quadring.symbol_capital`, the oracle the tests compare with.
+
+    Costs by role. Each prime has a `_prime_record`: its least root of 2
+    (`quadring._root`: one power per odd z tried up to the least
+    non-residue, then a product) and its octic sign (one power). The
+    prime in the role of p also has a `_generator`: Euclid's gcd of
+    (p, r - sqrt2) from that root, then at most one product by eps. The
+    pair costs [P/L] and the two quartic symbols, one power mod l or p
+    each. Both records are LRU caches of the `_PRIME_RECORDS` = 4,096
+    most recently used checked primes, so a survey, where hundreds of
+    pairs share each prime, computes each record once per prime.
     """
     if not _distinct_1mod8_primes(p, l):
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
@@ -112,9 +141,11 @@ def residue_profile(p: int, l: int) -> ResidueProfile:
         a = _quartic(l, p)
     except UndefinedSymbol:
         raise FamilyMismatch(f"profile needs (p/l) = +1; ({p}/{l}) = -1") from None
-    P, c = _prime_record(p)
-    L, d = _prime_record(l)
-    return ResidueProfile(pi=_symbol(P, L, SQRT2.omega2), a=a, b=_quartic(p, l), c=c, d=d)
+    _, c = _prime_record(p)
+    r, d = _prime_record(l)
+    x, y = _generator(p)
+    pi = 1 if pow(x + y * r, (l - 1) // 2, l) == 1 else -1
+    return ResidueProfile(pi=pi, a=a, b=_quartic(p, l), c=c, d=d)
 
 
 ALL_PROFILES = tuple(ResidueProfile(*signs) for signs in product((1, -1), repeat=5))
@@ -306,8 +337,7 @@ LAGRANGE_SELMER = {
 
 def _selmer(key: tuple[int, int, int], p: int, l: int) -> tuple[SquareClassGroup, SquareClassGroup]:
     """The (psi, phi) Selmer groups of the family row `key` at p, l."""
-    psi, phi = LAGRANGE_SELMER[key]
-    return concretize(psi, p, l), concretize(phi, p, l)
+    return concretize(p, l, *LAGRANGE_SELMER[key])
 
 
 def _one_sign(family: str, p: int, l: int | None, selmer, obstructed: bool,
@@ -324,13 +354,10 @@ def classify_11_plus(p: int, l: int) -> Classification:
     """k = pl, p = l = 1 mod 8, (p/l) = +1: the 32-profile grid."""
     profile = residue_profile(p, l)
     pc = classify_profile(profile)
-    return Classification(
-        "pl-1mod8-plus", p, l, *_selmer((1, 1, 1), p, l),
-        sha_psi=concretize(pc.sha_psi, p, l),
-        sha_phi=concretize(pc.sha_phi_complement, p, l),
-        w_phi=concretize(pc.w_phi, p, l),
-        profile=profile,
-    )
+    groups = concretize(p, l, *LAGRANGE_SELMER[1, 1, 1],
+                        pc.sha_psi, pc.sha_phi_complement, pc.w_phi)
+    # selmer_psi, selmer_phi, sha_psi, sha_phi, w_phi
+    return Classification("pl-1mod8-plus", p, l, *groups, profile=profile)
 
 
 def classify_11_minus(p: int, l: int) -> Classification:

@@ -2,9 +2,12 @@
 
 These three rings are norm-Euclidean PIDs, which is all the splitting code
 relies on. The central export is `symbol_capital`, the quadratic residue
-symbol [P/L] of one primary split prime modulo another; its conjugate
-independence (for (p/l) = +1) and reciprocity are verified by the test
-suite, not assumed here.
+symbol [P/L] of one primary split prime modulo another. It splits both
+primes and takes both primary associates, so it assumes no conjugate
+independence; that independence (for (p/l) = +1) and reciprocity are
+verified by the test suite. It is the slow oracle of
+`criteria.residue_profile`, which splits only the prime over p and rests
+on that independence.
 
 The arithmetic runs on plain int pairs (a, b) = a + b*omega in private
 kernels that take omega^2 and trust their arguments; the public functions
@@ -149,12 +152,17 @@ def _root(p: int, w2: int) -> int:
 
 
 def _split(p: int, w2: int) -> tuple[int, int]:
-    """`split_prime` on ints, for a prime p: Euclid's gcd of p and r - omega.
+    """`split_prime` on ints, for a prime p."""
+    return _euclid(p, _root(p, w2), w2)
+
+
+def _euclid(p: int, r: int, w2: int) -> tuple[int, int]:
+    """Euclid's gcd of the prime p and r - omega, for r a root of omega^2
+    mod p: a generator of the prime (p, r - omega) over p.
 
     The quotient of x by y is x * conj(y) / N(y) rounded coordinatewise to
     the nearest integer, ties toward +infinity.
     """
-    r = _root(p, w2)
     xa, xb, ya, yb = p, 0, r, -1
     while ya or yb:
         n = ya * ya - w2 * yb * yb

@@ -140,22 +140,24 @@ def _label_mul(a: str, b: str) -> str:
     return LABELS[LABELS.index(a) ^ LABELS.index(b)]
 
 
-def concretize(labels, p: int, l: int) -> SquareClassGroup:
-    """The concrete group spanned by label generators at primes p, l.
+def concretize(p: int, l: int, *label_sets) -> tuple[SquareClassGroup, ...]:
+    """The concrete groups spanned by each set of label generators at
+    primes p, l, one group per set, from one table of the 16 classes.
 
     Accepts "-1" besides the labels over (2, p, l), for the psi side, and
     raises PreconditionUnmet for any other label.
     p and l must be distinct odd primes: then -1, 2, p, l are independent
-    modulo squares, the group is the XOR span of the labels' masks over
+    modulo squares, a group is the XOR span of its labels' masks over
     them, and each mask's class is the product of its basis elements.
     """
-    masks, pick = _span_masks(frozenset(labels))
-    if len(masks) == 1:
-        return _TRIVIAL
     pl = p * l
     values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
               l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
-    return SquareClassGroup(frozenset(pick(values)))
+    groups = []
+    for labels in label_sets:
+        masks, pick = _span_masks(frozenset(labels))
+        groups.append(_TRIVIAL if len(masks) == 1 else SquareClassGroup(frozenset(pick(values))))
+    return tuple(groups)
 
 
 @cache

@@ -426,11 +426,9 @@ def verify_reference() -> VerifyReport:
         (7, 7, 1): (7, 23),
     }
     for key, (p, l) in fixture_pairs.items():
-        want_psi, want_phi = LAGRANGE_SELMER[key]
         k = p * l
-        ok = selmer_group(k, "psi") == concretize(want_psi, p, l) and selmer_group(
-            k, "phi"
-        ) == concretize(want_phi, p, l)
+        want = concretize(p, l, *LAGRANGE_SELMER[key])
+        ok = (selmer_group(k, "psi"), selmer_group(k, "phi")) == want
         checks.append(CheckLine(f"selmer shape {key} at (p,l)=({p},{l})", ok))
 
     # certificate spot checks in the non-grid families

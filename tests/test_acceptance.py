@@ -77,11 +77,11 @@ def test_grid_classification_columns_and_census():
         p, l = row.example
         cls = classify_11_plus(p, l)
         assert cls.rank_bound == row.rank_bound, row
-        assert cls.w_phi == concretize(row.w_phi, p, l), row
-        assert cls.sha_psi == concretize(row.sha_psi, p, l), row
+        w_phi, sha_psi, comp = concretize(p, l, row.w_phi, row.sha_psi, row.sha_phi)
+        assert cls.w_phi == w_phi, row
+        assert cls.sha_psi == sha_psi, row
         # the printed complement generators are one valid choice among
         # several; check they certify the same obstruction space
-        comp = concretize(row.sha_phi, p, l)
         assert comp.elements & cls.w_phi.elements == {1}, row
         assert len(comp) * len(cls.w_phi) == 8, row
         assert cls.sha_phi.dim == len(row.sha_phi), row
@@ -122,10 +122,10 @@ def test_selmer_shapes_per_family():
     }
     assert set(fixture_pairs) == set(LAGRANGE_SELMER)
     for key, (p, l) in fixture_pairs.items():
-        want_psi, want_phi = LAGRANGE_SELMER[key]
+        want_psi, want_phi = concretize(p, l, *LAGRANGE_SELMER[key])
         k = p * l
-        assert selmer_group(k, PSI) == concretize(want_psi, p, l), key
-        assert selmer_group(k, PHI) == concretize(want_phi, p, l), key
+        assert selmer_group(k, PSI) == want_psi, key
+        assert selmer_group(k, PHI) == want_phi, key
 
 
 def test_symbol_identities_on_random_pairs():

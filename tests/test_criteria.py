@@ -112,6 +112,47 @@ def test_residue_profile_matches_checked_symbols_on_cold_and_warm_records():
     assert criteria._prime_record.cache_info().currsize == len(ps)
 
 
+def test_residue_profile_matches_symbol_capital_at_the_profile_workload_scale():
+    # symbol_capital splits both primes and takes both primary associates,
+    # so it is the oracle of the one-root [P/L]
+    ps = primes_in(17, 10**6, residue=1, mod=8)
+    rng = random.Random(28)
+    pairs = set()
+    while len(pairs) < 2000:
+        p, l = rng.sample(ps, 2)
+        if jacobi(p, l) == 1:
+            pairs.add((p, l))
+    for p, l in sorted(pairs):
+        for q, m in ((p, l), (l, p)):
+            assert residue_profile(q, m).pi == symbol_capital(q, m, SQRT2), (q, m)
+
+
+def test_p_side_symbol_is_one_value_over_generators_with_b_even_and_roots_of_2():
+    # the two claims of residue_profile's docstring: every generator with b
+    # even of either prime over p, +-eps^(2k) P and +-eps^(2k) P', gives one
+    # Legendre value at either root of 2 mod l; an odd power of eps can flip it
+    eps = QuadInt(SQRT2, 1, 1)
+    eps2, eps_inv2 = eps * eps, QuadInt(SQRT2, 3, -2)
+    ps = list(primes_in(17, 2000, residue=1, mod=8))
+    pairs = [(p, l) for p in ps for l in ps if p != l and jacobi(p, l) == 1]
+    assert len(pairs) > 2000
+    flipped = 0
+    for p, l in pairs:
+        P = primary_associate(split_prime(p, SQRT2))
+        gens = {u * x for x in (P, P.conj()) for u in (eps2, eps_inv2, QuadInt(SQRT2, 1, 0))}
+        gens |= {-g for g in gens}
+        assert len(gens) == 12 and all(g.b % 2 == 0 and abs(g.norm) == p for g in gens)
+        assert QuadInt(SQRT2, *criteria._generator(p)) in gens, p
+        L = split_prime(l, SQRT2)
+        r = -L.a * pow(L.b, -1, l) % l  # the root that L sends sqrt2 to
+        assert r * r % l == 2
+        pi = residue_profile(p, l).pi
+        assert {jacobi(g.a + g.b * root, l) for g in gens for root in (r, l - r)} == {pi}, (p, l)
+        odd = eps * P
+        flipped += jacobi(odd.a + odd.b * r, l) != pi
+    assert flipped > 0
+
+
 def test_residue_profile_reads_the_legendre_symbol_off_the_quartic(monkeypatch):
     calls = []
 

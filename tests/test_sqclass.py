@@ -121,7 +121,7 @@ def test_label_span_then_concretize_matches_span():
     for sub in subsets:
         labels = label_span(sub)
         want = SquareClassGroup.span(*(value[s] for s in sub))
-        assert concretize(labels, p, l) == want, sub
+        assert concretize(p, l, labels) == (want,), sub
         assert len(labels) == len(want), sub
 
 
@@ -130,16 +130,17 @@ def test_concretize_matches_span_on_every_label_subset():
     for p, l in ((3, 11), (11, 3), (5, 13), (7, 23), (17, 89), (999983, 999961)):
         value = {"-1": -1, "1": 1, "2": 2, "p": p, "2p": 2 * p, "l": l,
                  "2l": 2 * l, "pl": p * l, "2pl": 2 * p * l}
-        for n in range(len(labels) + 1):
-            for sub in itertools.combinations(labels, n):
-                want = SquareClassGroup.span(*(value[s] for s in sub))
-                assert concretize(sub, p, l) == want, (p, l, sub)
-                assert concretize(frozenset(sub), p, l) == want, (p, l, sub)
+        subs = [sub for n in range(len(labels) + 1) for sub in itertools.combinations(labels, n)]
+        want = tuple(SquareClassGroup.span(*(value[s] for s in sub)) for sub in subs)
+        # one call with every subset, as tuples and as frozensets
+        assert concretize(p, l, *subs) == want, (p, l)
+        assert concretize(p, l, *map(frozenset, subs)) == want, (p, l)
+    assert concretize(17, 89) == ()
 
 
 def test_concretize_rejects_an_unknown_label():
     with pytest.raises(PreconditionUnmet, match="'x'"):
-        concretize(("-1", "x"), 3, 11)
+        concretize(3, 11, ("p",), ("-1", "x"))
 
 
 def test_label_span_rejects_an_unknown_label():

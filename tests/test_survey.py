@@ -76,21 +76,26 @@ def test_survey_plus_family_matches_grid():
     assert (17, 89) in [(r.p, r.l) for r in rows]
 
 
-def test_survey_splits_each_prime_once(monkeypatch):
-    split = quadring._split
+def test_survey_splits_only_the_p_of_each_pair_once(monkeypatch):
+    euclid = quadring._euclid
     calls = []
 
-    def counted(p, w2):
+    def counted(p, r, w2):
         calls.append(p)
-        return split(p, w2)
+        return euclid(p, r, w2)
 
     for module in (quadring, criteria):
-        monkeypatch.setattr(module, "_split", counted)
+        monkeypatch.setattr(module, "_euclid", counted)
     criteria._prime_record.cache_clear()
+    criteria._generator.cache_clear()
     rows, _ = run_survey(FamilySpec(bound=4000, residues=(1, 1), legendre=1))
-    primes = {r.p for r in rows} | {r.l for r in rows}
-    assert len(rows) == 4039 and len(primes) == 129
-    assert sorted(calls) == sorted(primes)
+    as_p = {r.p for r in rows}
+    primes = as_p | {r.l for r in rows}
+    assert len(rows) == 4039 and len(primes) == 129 and len(as_p) < 129
+    # the Euclid split runs once per prime seen as p, never for one seen
+    # only as l; every prime's root and octic sign are computed once
+    assert sorted(calls) == sorted(as_p)
+    assert criteria._prime_record.cache_info().misses == 129
 
 
 def test_survey_with_point_search():
