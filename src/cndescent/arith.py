@@ -91,6 +91,12 @@ def _octic(p: int) -> int:
     return 1 if pow(-4 % p, (p - 1) // 8, p) == 1 else -1
 
 
+def _legendre(x: int, q: int) -> int:
+    """The Legendre symbol (x/q) by Euler's criterion, for an odd prime q
+    that does not divide x, unchecked."""
+    return 1 if pow(x, (q - 1) // 2, q) == 1 else -1
+
+
 class FactoredInteger(NamedTuple):
     """Sign and prime factorization (p, e) pairs, p ascending."""
 
@@ -112,14 +118,12 @@ class FactoredInteger(NamedTuple):
         return s
 
 
-def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> list[int]:
-    """Primes in [lo, hi), optionally restricted to residue mod `mod`.
+def primes_in(lo: int, hi: int, residue: int | None = None) -> list[int]:
+    """Primes in [lo, hi), optionally only those = residue mod 8.
 
     A sieve of Eratosthenes over the segment alone, crossed off by the
     primes up to sqrt(hi), so it takes hi - lo + sqrt(hi) bytes.
     """
-    if mod < 1:
-        raise BadResidueClass(f"primes_in needs a modulus >= 1, got {mod}")
     lo = max(lo, 2)
     if hi <= lo:
         return []
@@ -131,7 +135,7 @@ def primes_in(lo: int, hi: int, residue: int | None = None, mod: int = 8) -> lis
     ps = compress(range(lo, hi), flags)
     if residue is None:
         return list(ps)
-    return [p for p in ps if p % mod == residue]
+    return [p for p in ps if p % 8 == residue]
 
 
 _TRIAL_PRIMES = tuple(primes_in(2, 1000))

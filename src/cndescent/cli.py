@@ -2,10 +2,11 @@
 grid, family surveys, and the full regression suite.
 
 Each `_cmd_*` returns (exit code, JSON value, text); `main` prints the
-JSON under --json and the text otherwise. Exit codes: 0 success, 1
-computation failed (bad pair, budget exhausted, a verification mismatch),
-2 usage error. A `DescentError`, which every argument the package rejects
-raises, prints one line `error: <Type>: <message>` on stderr and exits 1.
+JSON under --json and the text otherwise. `survey` has no JSON value: its
+text is NDJSON already. Exit codes: 0 success, 1 computation failed (bad
+pair, budget exhausted, a verification mismatch), 2 usage error. A
+`DescentError`, which every argument the package rejects raises, prints
+one line `error: <Type>: <message>` on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -167,6 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd[name] = sub.add_parser(name, help=summary)
         cmd[name].set_defaults(fn=fn)
+        cmd[name].add_argument("--json", action="store_true")
 
     p = cmd["classify"]
     p.add_argument("--k", type=_at_least(1), required=True)
@@ -193,12 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=_at_least(0), default=0,
                    help="optional point search height per k (default off)")
     p.add_argument("--out", help="write NDJSON here instead of stdout")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; output is already NDJSON")
-
-    for name in ("classify", "selmer", "profile", "grid", "verify"):
-        cmd[name].add_argument("--json", action="store_true")
-
     return parser
 
 

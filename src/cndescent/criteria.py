@@ -21,32 +21,14 @@ from functools import cache, lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .arith import (
-    _octic,
-    _quartic,
-    factor,
-    is_prime,
-    jacobi,
-    octic_minus4,
-    quartic_symbol,
-)
+from .arith import _legendre, _octic, _quartic, factor, is_prime, jacobi
 from .errors import (
     FamilyMismatch,
     InconsistentCriteria,
     PreconditionUnmet,
     UndefinedSymbol,
 )
-from .quadring import (
-    GAUSS,
-    SQRT2,
-    QuadInt,
-    _euclid,
-    _root,
-    primary_associate,
-    primary_associate_mod4,
-    ring_symbol,
-    split_prime,
-)
+from .quadring import GAUSS, SQRT2, _euclid, _root
 from .sqclass import LABELS, SquareClassGroup, _extend, _label_mul, concretize, label_span
 
 # --- the residue profile ----------------------------------------------------
@@ -90,13 +72,17 @@ def _prime_record(q: int) -> tuple[int, int]:
     return _root(q, SQRT2.omega2), _octic(q)
 
 
+def _b_even(a: int, b: int) -> tuple[int, int]:
+    """a + b*sqrt2, a odd, times eps = 1 + sqrt2 when b is odd: b even."""
+    return (a + 2 * b, a + b) if b % 2 else (a, b)
+
+
 @lru_cache(maxsize=_PRIME_RECORDS)
 def _generator(p: int) -> tuple[int, int]:
     """A generator a + b*sqrt2 with b even of a prime over the checked prime
     p = 1 mod 8, as an int pair: Euclid's gcd of p and r - sqrt2 for the
-    root r of `_prime_record`, times eps = 1 + sqrt2 when b is odd."""
-    a, b = _euclid(p, _prime_record(p)[0], SQRT2.omega2)
-    return (a + 2 * b, a + b) if b % 2 else (a, b)
+    root r of `_prime_record`, then `_b_even`."""
+    return _b_even(*_euclid(p, _prime_record(p)[0], SQRT2.omega2))
 
 
 def residue_profile(p: int, l: int) -> ResidueProfile:
@@ -144,8 +130,7 @@ def residue_profile(p: int, l: int) -> ResidueProfile:
     _, c = _prime_record(p)
     r, d = _prime_record(l)
     x, y = _generator(p)
-    pi = 1 if pow(x + y * r, (l - 1) // 2, l) == 1 else -1
-    return ResidueProfile(pi=pi, a=a, b=_quartic(p, l), c=c, d=d)
+    return ResidueProfile(pi=_legendre(x + y * r, l), a=a, b=_quartic(p, l), c=c, d=d)
 
 
 ALL_PROFILES = tuple(ResidueProfile(*signs) for signs in product((1, -1), repeat=5))
@@ -373,7 +358,7 @@ def classify_11_minus(p: int, l: int) -> Classification:
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != -1:
         raise FamilyMismatch(f"classify_11_minus needs (p/l) = -1 for ({p}, {l})")
-    cp, cl = octic_minus4(p), octic_minus4(l)
+    cp, cl = _octic(p), _octic(l)
     notes = (
         f"class 2 and 2pl need (-4/p)8 = (-4/l)8; got {cp:+d}, {cl:+d}",
         f"class pl needs (-4/pl)8 = +1; got {cp * cl:+d}",
@@ -394,7 +379,8 @@ def classify_2p(p: int) -> Classification:
 
 
 def _gauss_unit_symbol(p: int, l: int) -> int:
-    """[(1+i)pi/lambda] for p = l = 5 mod 8, with the conjugate of pi pinned.
+    """[(1+i)pi/lambda] for checked primes p, l = 5 mod 8 with (p/l) = -1,
+    with the conjugate of pi pinned.
 
     For p = 5 mod 8 both primes above p are primary, and the two choices
     give opposite symbols ([2ip/lambda] = -1 here), so the bare symbol
@@ -402,15 +388,52 @@ def _gauss_unit_symbol(p: int, l: int) -> int:
     factorization M^2 + i l e^2 = (1+i) pi alpha^2 over Z[i], and reducing
     the conjugate equation mod pi forces [1-i/pi] = -[pibar/pi], which
     pins the divisor.  Reducing mod lambda then makes [(1+i)pi/lambda]=+1
-    necessary for solvability.  At the pinned pi the symbol does not
-    depend on the choice of lambda ([2p/lambda] = +1), and it is
-    symmetric in p and l.
+    necessary for solvability.  The value is symmetric in p and l.
+
+    Each symbol is a Legendre symbol: only p is split, and no primary
+    associate is sought. pi = a + bi is Euclid's gcd of p and t - i, t a
+    root of -1 mod p, so Z[i]/pi = F_p sends i to t and the pin reads
+    ((1 - t)/p) = -((a - b*t)/p). It holds for exactly one of pi and
+    pibar, as [1+i/pi][1-i/pi] = (2/p) = -1. Every generator of pi gives
+    the pinned value: -1 changes no symbol, as (-1/p) = (-1/l) = +1, and
+    i*pi fails the pin ([-i/pi] = (t/p) = -1), so it pins -i*pibar, whose
+    value is [-i/lambda][2ip/lambda] = (-1)(-1) times that at pi. Either
+    root s of -1 mod l gives the value (((1 + s)(a + b*s))/l): the two
+    roots give [x/lambda] and [x/lambdabar], whose product is
+    [2p/lambda] = (2/l)(p/l) = +1.
     """
-    pi = primary_associate(split_prime(p, GAUSS))
-    if ring_symbol(QuadInt(GAUSS, 1, -1), pi) != -ring_symbol(pi.conj(), pi):
-        pi = pi.conj()
-    lam = primary_associate(split_prime(l, GAUSS))
-    return ring_symbol(QuadInt(GAUSS, 1, 1) * pi, lam)
+    w2 = GAUSS.omega2
+    t = _root(p, w2)
+    a, b = _euclid(p, t, w2)
+    if _legendre(1 - t, p) != -_legendre(a - b * t, p):
+        b = -b
+    s = _root(l, w2)
+    return _legendre((1 + s) * (a + b * s), l)
+
+
+def _lambda_pi_symbol(p: int, l: int) -> int:
+    """[Lambda/Pi] in Z[sqrt2] for checked primes p, l = 7 mod 8 with
+    (p/l) = +1: Lambda = a + b*sqrt2 is the generator with b even and
+    a + b = 1 mod 4 of the prime over l that `quadring.split_prime` finds,
+    and Pi is either prime over p.
+
+    It is the Legendre symbol ((a + b*r)/p) at either root r of 2 mod p,
+    so p is not split:
+
+    - Z[sqrt2]/Pi = F_p sends sqrt2 to one root of 2 mod p, and the
+      conjugate prime to the other, so the two roots give [Lambda/Pi] and
+      [Lambda/Pibar]. Their product is (N(Lambda)/p) = (-l/p) = +1, as
+      p = l = 3 mod 4 gives (l/p) = -(p/l) = -1 and (-1/p) = -1.
+    - The generators of Lambda's prime are +-eps^n*Lambda, eps = 1 +
+      sqrt2, and a is odd as N(Lambda) = -l is, so `_b_even` leaves
+      +-eps^(2k)*Lambda. eps^2 = 3 + 2*sqrt2 keeps a + b mod 4 and goes
+      to 3 + 2r = (1 + r)^2, a square. The sign is what a + b = 1 mod 4
+      fixes, and it matters: [-1/Pi] = (-1/p) = -1.
+    """
+    w2 = SQRT2.omega2
+    a, b = _b_even(*_euclid(l, _root(l, w2), w2))
+    sign = 1 if (a + b) % 4 == 1 else -1
+    return sign * _legendre(a + b * _root(p, w2), p)
 
 
 def classify_small_residues(p: int, l: int) -> Classification:
@@ -423,8 +446,8 @@ def classify_small_residues(p: int, l: int) -> Classification:
           at the pinned prime pi above p (see _gauss_unit_symbol);
       (3,3): the phi Selmer group is trivial; rank 0 unconditionally;
       (7,7): with p, l ordered so (p/l) = +1: T(2) on phi and T(p), T(l)
-          on psi die when [Lambda/Pi] = -1 in Z[sqrt2], Lambda primary of
-          norm -l.
+          on psi die when [Lambda/Pi] = -1 in Z[sqrt2], Lambda of norm -l
+          with b even and a + b = 1 mod 4 (see _lambda_pi_symbol).
     """
     if not (is_prime(p) and is_prime(l)) or p == l or p % 2 == 0 or l % 2 == 0:
         raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct odd primes")
@@ -439,7 +462,7 @@ def classify_small_residues(p: int, l: int) -> Classification:
     if r == 5:
         sign = jacobi(p, l)
         if sign == 1:
-            obstructed = quartic_symbol(p, l) != quartic_symbol(l, p)
+            obstructed = _quartic(p, l) != _quartic(l, p)
             note = "criterion: (p/l)4 = (l/p)4 fails" if obstructed else \
                 "criterion: (p/l)4 = (l/p)4 holds; no certificate"
         else:
@@ -451,9 +474,7 @@ def classify_small_residues(p: int, l: int) -> Classification:
     # symbols are opposite for p = l = 3 mod 4)
     if jacobi(p, l) != 1:
         p, l = l, p
-    lam = primary_associate_mod4(split_prime(l, SQRT2))
-    cap_pi = primary_associate(split_prime(p, SQRT2))
-    sym = ring_symbol(lam, cap_pi)
+    sym = _lambda_pi_symbol(p, l)
     note = f"criterion: [Lambda/Pi] = {sym:+d}, Lambda of norm -{l}"
     return _one_sign("pl-7mod8", p, l, _selmer((7, 7, 1), p, l), sym == -1, (note,),
                      sha_psi=SquareClassGroup.span(p))

@@ -47,7 +47,9 @@ class NotAGroup(DescentError):
 
 
 class InconsistentCriteria(DescentError):
-    """Local criteria produced a W-candidate set that is not a group."""
+    """Two results that must agree do not: a profile's W candidates are
+    not a group, a torsion class lies outside its Selmer group, or the
+    found rank exceeds the certified bound."""
 
 
 class FamilyMismatch(DescentError):

@@ -1,17 +1,15 @@
 """Arithmetic in Z[i], Z[sqrt(2)], Z[sqrt(-2)] and their residue symbols.
 
 These three rings are norm-Euclidean PIDs, which is all the splitting code
-relies on. The central export is `symbol_capital`, the quadratic residue
-symbol [P/L] of one primary split prime modulo another. It splits both
-primes and takes both primary associates, so it assumes no conjugate
-independence; that independence (for (p/l) = +1) and reciprocity are
-verified by the test suite. It is the slow oracle of
-`criteria.residue_profile`, which splits only the prime over p and rests
-on that independence.
-
-The arithmetic runs on plain int pairs (a, b) = a + b*omega in private
-kernels that take omega^2 and trust their arguments; the public functions
-check the arguments, call the kernels and box the results in `QuadInt`.
+relies on. The arithmetic runs on plain int pairs (a, b) = a + b*omega in
+private kernels that take omega^2 and trust their arguments. `criteria`
+uses two of them, `_root` (a root of omega^2 mod p) and `_euclid` (the gcd
+that splits p from that root), and reads each ring symbol as a Legendre
+symbol in the residue field. The public functions check their arguments,
+call the kernels and box the results in `QuadInt`. Of them,
+`symbol_capital` splits both primes and takes both primary associates, so
+it assumes no conjugate independence: it and `ring_symbol` are the oracles
+of the criteria's [P/L], (5,5)- and (7,7) symbols in the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import NamedTuple
 
-from .arith import is_prime, jacobi
+from .arith import _legendre, is_prime, jacobi
 from .errors import (
     BadResidueClass,
     CompositeModulus,
@@ -90,9 +88,6 @@ class QuadInt(Record):
     def __str__(self) -> str:
         sym = {-1: "i", 2: "sqrt2", -2: "sqrt-2"}[self.ring.omega2]
         return f"{self.a}{'+' if self.b >= 0 else '-'}{abs(self.b)}{sym}"
-
-
-EPS2 = QuadInt(SQRT2, 1, 1)  # fundamental unit of Z[sqrt2], norm -1
 
 
 _RING = {ring.omega2: ring for ring in RINGS}  # for the kernels' messages
@@ -234,23 +229,6 @@ def primary_associate(alpha: QuadInt) -> QuadInt:
     return QuadInt(alpha.ring, *_primary(alpha.a, alpha.b, alpha.ring.omega2))
 
 
-def primary_associate_mod4(alpha: QuadInt) -> QuadInt:
-    """Z[sqrt2] only: associate with b even and a+b = 1 mod 4.
-
-    Stronger than the mod-2*sqrt(2) congruence: its primary units are the
-    squares <eps2^2>, so residue symbols of these representatives are
-    unambiguous even for moduli of negative norm. Conjugates are not tried;
-    the ideal is preserved. The result is +-alpha if b is even, else
-    +-eps2*alpha, with the sign that makes a + b = 1 mod 4.
-    """
-    if alpha.ring is not SQRT2:
-        raise BadResidueClass("mod-4 normalization is specific to Z[sqrt2]")
-    if alpha.norm % 2 == 0:
-        raise NoPrimaryAssociate(f"{alpha} has even norm")
-    y = alpha if alpha.b % 2 == 0 else EPS2 * alpha
-    return y if (y.a + y.b) % 4 == 1 else -y
-
-
 def _symbol(alpha: tuple[int, int], beta: tuple[int, int], w2: int) -> int:
     """[alpha/beta] on ints, for |N(beta)| = q an odd prime; 0 when beta
     divides alpha.
@@ -262,9 +240,7 @@ def _symbol(alpha: tuple[int, int], beta: tuple[int, int], w2: int) -> int:
     (a, b), (c, d) = alpha, beta
     q = abs(c * c - w2 * d * d)
     t = (a - b * c * pow(d, -1, q)) % q
-    if t == 0:
-        return 0
-    return 1 if pow(t, (q - 1) // 2, q) == 1 else -1
+    return _legendre(t, q) if t else 0
 
 
 def ring_symbol(alpha: QuadInt, beta: QuadInt) -> int:

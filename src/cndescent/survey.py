@@ -149,11 +149,11 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
         raise PreconditionUnmet(f"height must be >= 0, got {height}")
     rows: list[SurveyRow] = []
     if spec.two_p:
-        for p in primes_in(17, spec.bound, residue=1, mod=8):
+        for p in primes_in(17, spec.bound, residue=1):
             rows.append(_build_row(classify_2p(p), height))
     else:
         r = spec.residues[0]
-        ps = list(primes_in(3, spec.bound, residue=r, mod=8))
+        ps = primes_in(3, spec.bound, residue=r)
         for i, p in enumerate(ps):
             for l in ps[i + 1 :]:
                 if spec.legendre is not None and jacobi(p, l) != spec.legendre:
@@ -208,7 +208,7 @@ def smallest_example(profile: ResidueProfile, bound: int = 10**5) -> tuple[int, 
     the swapped pair realizes a different row. Raises PreconditionUnmet,
     before any scan, for a profile that is not five signs +-1."""
     profile = _checked_profile(profile)
-    ps = list(primes_in(17, bound // 17 + 1, residue=1, mod=8))
+    ps = primes_in(17, bound // 17 + 1, residue=1)
     pairs = []
     for i, p in enumerate(ps):
         for l in ps[i + 1 :]:

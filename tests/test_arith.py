@@ -123,7 +123,7 @@ def test_quartic_square_collapses_to_jacobi():
 
 
 def test_quartic_value_is_a_sign():
-    for l in primes_in(5, 3000, residue=1, mod=4):
+    for l in [q for q in primes_in(5, 3000) if q % 4 == 1]:
         for a in (2, 3, 5):
             if a % l == 0:
                 continue
@@ -361,4 +361,3 @@ def test_primes_in_against_primerange(lo, hi):
     assert primes_in(lo, hi) == expect
     for residue in (1, 2, 3, 5, 7):
         assert primes_in(lo, hi, residue) == [p for p in expect if p % 8 == residue]
-    assert primes_in(lo, hi, 1, mod=4) == [p for p in expect if p % 4 == 1]

@@ -123,6 +123,13 @@ def test_survey_stdout(capsys):
     assert json.loads(lines[-1])["summary"]["rank_zero"] == 3
 
 
+def test_survey_json_prints_the_same_ndjson(capsys):
+    argv = ["survey", "--residues", "3,3", "--bound", "100"]
+    code, out = run(capsys, argv)
+    assert code == 0 and out.count("\n") > 1
+    assert run(capsys, [*argv, "--json"]) == (0, out)
+
+
 def test_survey_to_file(tmp_path, capsys):
     path = tmp_path / "rows.ndjson"
     code, out = run(

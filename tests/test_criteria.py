@@ -28,6 +28,7 @@ from cndescent.quadring import (
     GAUSS,
     SQRT2,
     QuadInt,
+    _root,
     primary_associate,
     ring_symbol,
     split_prime,
@@ -36,6 +37,7 @@ from cndescent.quadring import (
 from cndescent.sqclass import SquareClassGroup
 
 import witness_oracle
+from test_quadring import reference_primary_associate_mod4
 from witness_oracle import (
     PSI_CASES,
     HypothesisViolated,
@@ -92,7 +94,7 @@ def test_residue_profile_rejects_bad_pairs():
 
 
 def test_residue_profile_matches_checked_symbols_on_cold_and_warm_records():
-    ps = list(primes_in(17, 2000, residue=1, mod=8))
+    ps = list(primes_in(17, 2000, residue=1))
     pairs = [(p, l) for i, p in enumerate(ps) for l in ps[i + 1 :] if jacobi(p, l) == 1]
     assert len(pairs) > 1000
     want = {
@@ -115,7 +117,7 @@ def test_residue_profile_matches_checked_symbols_on_cold_and_warm_records():
 def test_residue_profile_matches_symbol_capital_at_the_profile_workload_scale():
     # symbol_capital splits both primes and takes both primary associates,
     # so it is the oracle of the one-root [P/L]
-    ps = primes_in(17, 10**6, residue=1, mod=8)
+    ps = primes_in(17, 10**6, residue=1)
     rng = random.Random(28)
     pairs = set()
     while len(pairs) < 2000:
@@ -133,7 +135,7 @@ def test_p_side_symbol_is_one_value_over_generators_with_b_even_and_roots_of_2()
     # Legendre value at either root of 2 mod l; an odd power of eps can flip it
     eps = QuadInt(SQRT2, 1, 1)
     eps2, eps_inv2 = eps * eps, QuadInt(SQRT2, 3, -2)
-    ps = list(primes_in(17, 2000, residue=1, mod=8))
+    ps = list(primes_in(17, 2000, residue=1))
     pairs = [(p, l) for p in ps for l in ps if p != l and jacobi(p, l) == 1]
     assert len(pairs) > 2000
     flipped = 0
@@ -168,7 +170,23 @@ def test_residue_profile_reads_the_legendre_symbol_off_the_quartic(monkeypatch):
     assert str(err.value) == "profile needs (p/l) = +1; (17/97) = -1"
 
 
-def test_classify_11_plus_tests_each_prime_once(monkeypatch):
+@pytest.mark.parametrize(
+    "classify, p, l",
+    [
+        (classify_11_minus, 17, 41),
+        (classify_small_residues, 5, 13),  # (5,5), (p/l) = -1
+        (classify_small_residues, 5, 29),  # (5,5), (p/l) = +1
+        (classify_small_residues, 7, 23),
+        (classify_small_residues, 3, 11),
+        (classify_11_plus, 17, 89),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_classifiers_test_each_prime_once(monkeypatch, classify, p, l):
+    # the classifier checks its pair, and every symbol after that runs on
+    # unchecked kernels; cold records, so test order cannot hide a call
+    criteria._prime_record.cache_clear()
+    criteria._generator.cache_clear()
     calls = []
 
     def counted(n):
@@ -177,8 +195,67 @@ def test_classify_11_plus_tests_each_prime_once(monkeypatch):
 
     for module in (arith, quadring, criteria):
         monkeypatch.setattr(module, "is_prime", counted)
-    classify_11_plus(17, 89)
-    assert sorted(calls) == [17, 89]
+    classify(p, l)
+    assert sorted(calls) == [p, l]
+
+
+def reference_lambda_pi_symbol(p, l):
+    """The boxed [Lambda/Pi] that `criteria._lambda_pi_symbol` replaced."""
+    lam = reference_primary_associate_mod4(split_prime(l, SQRT2))
+    return ring_symbol(lam, primary_associate(split_prime(p, SQRT2))), lam
+
+
+def reference_pinned_pi(p):
+    """The pinned primary prime over p = 5 mod 8 of the boxed
+    [(1+i)pi/lambda]."""
+    pi = primary_associate(split_prime(p, GAUSS))
+    if ring_symbol(QuadInt(GAUSS, 1, -1), pi) != -ring_symbol(pi.conj(), pi):
+        pi = pi.conj()
+    return pi
+
+
+def reference_gauss_unit_symbol(p, l):
+    """The boxed [(1+i)pi/lambda] that `criteria._gauss_unit_symbol` replaced."""
+    pi = reference_pinned_pi(p)
+    lam = primary_associate(split_prime(l, GAUSS))
+    return ring_symbol(QuadInt(GAUSS, 1, 1) * pi, lam)
+
+
+def test_lambda_pi_symbol_matches_the_boxed_ring_symbol_at_both_roots():
+    # every (7,7) pair below 2000, in the order with (p/l) = +1
+    ps = primes_in(3, 2000, 7)
+    pairs = [(p, l) for p in ps for l in ps if p != l and jacobi(p, l) == 1]
+    assert len(pairs) > 2500
+    seen = set()
+    for p, l in pairs:
+        want, lam = reference_lambda_pi_symbol(p, l)
+        assert criteria._lambda_pi_symbol(p, l) == want, (p, l)
+        r = _root(p, SQRT2.omega2)
+        assert {jacobi(lam.a + lam.b * root, p) for root in (r, p - r)} == {want}, (p, l)
+        # the sign is pinned: -Lambda has the opposite symbol
+        assert ring_symbol(-lam, primary_associate(split_prime(p, SQRT2))) == -want
+        seen.add(want)
+    assert seen == {1, -1}
+
+
+def test_gauss_unit_symbol_matches_the_boxed_ring_symbol_at_both_roots():
+    # every (5,5) pair below 2000 with (p/l) = -1, in both orders
+    ps = primes_in(3, 2000, 5)
+    pairs = [(p, l) for p in ps for l in ps if p != l and jacobi(p, l) == -1]
+    assert len(pairs) > 2500
+    seen = set()
+    for p, l in pairs:
+        want = reference_gauss_unit_symbol(p, l)
+        assert criteria._gauss_unit_symbol(p, l) == want, (p, l)
+        pi = reference_pinned_pi(p)
+        s = _root(l, GAUSS.omega2)
+        values = {jacobi((1 + root) * (pi.a + pi.b * root), l) for root in (s, l - s)}
+        assert values == {want}, (p, l)
+        # the pin matters: the conjugate has the opposite symbol
+        lam = split_prime(l, GAUSS)
+        assert ring_symbol(QuadInt(GAUSS, 1, 1) * pi.conj(), lam) == -want
+        seen.add(want)
+    assert seen == {1, -1}
 
 
 # --- the 32-profile grid ------------------------------------------------------

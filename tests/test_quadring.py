@@ -23,7 +23,6 @@ from cndescent.errors import (
     UndefinedSymbol,
 )
 from cndescent.quadring import (
-    EPS2,
     GAUSS,
     RINGS,
     SQRT2,
@@ -31,7 +30,6 @@ from cndescent.quadring import (
     QuadInt,
     _root,
     primary_associate,
-    primary_associate_mod4,
     ring_symbol,
     split_prime,
     symbol_capital,
@@ -136,6 +134,7 @@ def test_primary_associate_idempotent_and_primary():
         assert primary_associate(y) == y
 
 
+_EPS2 = QuadInt(SQRT2, 1, 1)  # fundamental unit of Z[sqrt2], norm -1
 _EPS2_INV = QuadInt(SQRT2, -1, 1)
 
 
@@ -150,7 +149,7 @@ def _reference_units(ring):
         return [(0, QuadInt(ring, 1, 0)), (0, QuadInt(ring, -1, 0))]
     powers = {0: QuadInt(SQRT2, 1, 0)}
     for n in (1, 2):
-        powers[n] = powers[n - 1] * EPS2
+        powers[n] = powers[n - 1] * _EPS2
         powers[-n] = powers[-(n - 1)] * _EPS2_INV
     return [(abs(n), w) for n, u in powers.items() for w in (u, -u)]
 
@@ -238,14 +237,12 @@ def test_primary_associate_matches_unit_search():
         u = v = QuadInt(SQRT2, 1, 0)
         for _ in range(5):
             inputs += [w * h for w in (u, -u, v, -v) for h in (g, g.conj())]
-            u, v = u * EPS2, v * _EPS2_INV
+            u, v = u * _EPS2, v * _EPS2_INV
     assert len(inputs) > 18000, len(inputs)
     for x in inputs:
         assert _outcome(primary_associate, x) == _outcome(
             reference_primary_associate, x
         ), x
-        if x.ring is SQRT2:
-            assert primary_associate_mod4(x) == reference_primary_associate_mod4(x), x
 
 
 def test_split_and_primary_match_the_euclid_and_unit_search_oracles():
@@ -270,17 +267,6 @@ def test_symbol_capital_matches_the_oracle_composition():
                 reference_primary_associate(reference_split_prime(q, ring)) for q in (p, l)
             )
             assert symbol_capital(p, l, ring) == ring_symbol(cap_p, cap_l), (p, l, ring)
-
-
-def test_primary_associate_mod4_normalization():
-    for p in primes_in(17, 500, residue=1):
-        g = primary_associate_mod4(split_prime(p, SQRT2))
-        assert g.b % 2 == 0 and (g.a + g.b) % 4 == 1
-    # norm -l case, l = 7 mod 8
-    for l in primes_in(7, 500, residue=7):
-        g = primary_associate_mod4(split_prime(l, SQRT2))
-        assert g.norm == -l
-        assert g.b % 2 == 0 and (g.a + g.b) % 4 == 1
 
 
 def test_ring_symbol_norm_descent():
@@ -314,7 +300,7 @@ def test_ring_symbol_multiplicative():
 def test_ring_symbol_unit_eps2_is_octic_character():
     for p in primes_in(17, 2000, residue=1)[:100]:
         beta = split_prime(p, SQRT2)
-        assert ring_symbol(EPS2, beta) == octic_minus4(p)
+        assert ring_symbol(_EPS2, beta) == octic_minus4(p)
 
 
 def test_ring_symbol_errors():
