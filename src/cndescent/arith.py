@@ -135,6 +135,7 @@ def primes_in(lo: int, hi: int, residue: int | None = None) -> list[int]:
     ps = compress(range(lo, hi), flags)
     if residue is None:
         return list(ps)
+    residue %= 8
     return [p for p in ps if p % 8 == residue]
 
 

@@ -20,10 +20,9 @@ from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .arith import factor
+from .arith import _legendre, factor
 from .criteria import Classification, classify_auto, selmer_rank_bound
 from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
-from .record import Record
 from .sqclass import SquareClassGroup, _extend, squarefree_mul
 
 PSI = "psi"
@@ -87,11 +86,6 @@ def _split(n: int, q: int) -> tuple[int, int]:
     return v, n
 
 
-def _is_power_residue(u: int, n: int, q: int) -> bool:
-    """Is the unit u an n-th power mod the odd prime q?"""
-    return pow(u, (q - 1) // gcd(n, q - 1), q) == 1
-
-
 def solvable_at(b1: int, b2: int, q: int) -> bool:
     """Solvability of N^2 = b1 M^4 + b2 e^4 over Q_q (primitive M, e).
 
@@ -103,7 +97,9 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
     divide M, else b with unit part u2 e^4, and by Hensel's lemma t is a
     square iff that valuation is even and that unit a square mod q. If
     a = b = 1, v(t) is even only if q | u1 M^4 + u2 e^4, so -u2/u1 must be
-    a fourth power mod q, and then Hensel lifts M/e to a point with N = 0.
+    a fourth power mod q, and then Hensel lifts M/e to a point with N = 0;
+    F_q^* is cyclic of order q - 1, so x is a fourth power exactly when
+    x^((q - 1)/gcd(4, q - 1)) = 1 mod q.
     If a = b = 0 there is always a point: (M, e) = (1, 0) when u1 is a
     square, and otherwise N^2 = u1 x^4 + u2 is a smooth genus-1 curve with
     no F_q point at infinity, so Hasse gives it (sqrt(q) - 1)^2 > 0 affine
@@ -146,10 +142,8 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
             or (a == b and s in ((0, 4), (0, 2, 8))[a])
         )
     if a == b:
-        return a == 0 or _is_power_residue(-u2 * pow(u1, -1, q), 4, q)
-    return (a == 0 and _is_power_residue(u1, 2, q)) or (
-        b == 2 and _is_power_residue(u2, 2, q)
-    )
+        return a == 0 or pow(-u2 * pow(u1, -1, q), (q - 1) // gcd(4, q - 1), q) == 1
+    return (a == 0 and _legendre(u1, q) == 1) or (b == 2 and _legendre(u2, q) == 1)
 
 
 def locally_solvable(b1: int, b2: int) -> bool:
@@ -224,9 +218,9 @@ def _unit_scale(q: int, a: int) -> tuple[int, int]:
     64, 9 and a = 0 keep (a, 1)."""
     if q in (64, 9) or a == 0:
         return a, 1
-    if pow(a, (q - 1) // 2, q) == 1:
+    if _legendre(a, q) == 1:
         return 1, pow(a, -1, q)
-    n = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) != 1)
+    n = next(x for x in range(2, q) if _legendre(x, q) == -1)
     return n, n * pow(a, -1, q) % q
 
 
@@ -401,39 +395,25 @@ def witnesses_json(witnesses: dict[str, dict[int, TorsorPoint]]) -> dict:
     }
 
 
-class DescentReport(Record):
+class DescentReport(NamedTuple):
     """What `descend` found for k. Immutable like every record; its
     witnesses are dicts, so hashing a report raises TypeError."""
 
-    __slots__ = (
-        "k", "selmer_psi", "selmer_phi", "w_psi", "w_phi", "sha_psi_cert",
-        "sha_phi_cert", "rank_lower", "rank_upper", "sha2_dim", "noncongruent",
-        "height", "witnesses", "classification", "notes",
-    )
-
-    def __init__(
-        self,
-        k: int,
-        selmer_psi: SquareClassGroup,
-        selmer_phi: SquareClassGroup,
-        w_psi: SquareClassGroup,
-        w_phi: SquareClassGroup,
-        sha_psi_cert: SquareClassGroup,
-        sha_phi_cert: SquareClassGroup,
-        rank_lower: int,
-        rank_upper: int,
-        sha2_dim: int | None,
-        noncongruent: bool,
-        height: int,
-        witnesses: dict[str, dict[int, TorsorPoint]],
-        classification: object | None = None,
-        notes: tuple[str, ...] = (),
-    ):
-        self._set(
-            k, selmer_psi, selmer_phi, w_psi, w_phi, sha_psi_cert, sha_phi_cert,
-            rank_lower, rank_upper, sha2_dim, noncongruent, height, witnesses,
-            classification, notes,
-        )
+    k: int
+    selmer_psi: SquareClassGroup
+    selmer_phi: SquareClassGroup
+    w_psi: SquareClassGroup
+    w_phi: SquareClassGroup
+    sha_psi_cert: SquareClassGroup
+    sha_phi_cert: SquareClassGroup
+    rank_lower: int
+    rank_upper: int
+    sha2_dim: int | None
+    noncongruent: bool
+    height: int
+    witnesses: dict[str, dict[int, TorsorPoint]]
+    classification: Classification | None = None
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {

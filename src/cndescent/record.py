@@ -1,13 +1,13 @@
 """The base of the records that must not act as tuples.
 
-Most of the package's records are `typing.NamedTuple`s. A record whose
+Most of the package's records are `typing.NamedTuple`s. The three whose
 tuple behaviour would be wrong (a group that iterates over its classes, a
-ring element that multiplies, a spec that validates, a report that holds
-dicts) derives from `Record` instead: its fields are its `__slots__`, in
-order, set once by its `__init__` through `_set` (or `object.__setattr__`,
-which skips `_set`'s loop). Equality, hashing, the
-`Name(field=value, ...)` repr and pickling read them, as for a frozen
-dataclass, and assigning or deleting a field raises `FrozenRecord`.
+ring element that multiplies, a spec that validates) derive from `Record`
+instead: its fields are its `__slots__`, in order, set once by its
+`__init__` through `_set` (or `object.__setattr__`, which skips `_set`'s
+loop). Equality, hashing, the `Name(field=value, ...)` repr and pickling
+read them, as for a frozen dataclass, and assigning or deleting a field
+raises `FrozenRecord`.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def _key(self) -> tuple:
-        """The fields equality and hashing compare: all of them, unless a
-        subclass leaves some out."""
-        return self._values()
-
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecord(f"cannot assign to field {name!r}")
 
@@ -41,10 +36,10 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))

@@ -28,7 +28,6 @@ from .criteria import (
 )
 from .descent import descend, selmer_group, witnesses_json
 from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet
-from .quadring import SQRT2, symbol_capital
 from .record import Record
 from .sqclass import SquareClassGroup, concretize, label_span
 
@@ -66,37 +65,25 @@ class FamilySpec(Record):
         if legendre not in (None, 1, -1):
             raise PreconditionUnmet(f"legendre must be +-1 or None, got {legendre}")
         if legendre is not None and (two_p or residues[0] in (3, 7)):
-            # for p = l = 3 or 7 mod 8 the symbol is antisymmetric, so every
-            # unordered pair matches both signs and the filter selects nothing
+            # for p = l = 3 or 7 mod 8, (p/l) = -(l/p): the sign depends on
+            # the order of the pair, so it is not a property of k = pl
             raise PreconditionUnmet("legendre filter only applies to residues 1 or 5")
         self._set(bound, residues, two_p, legendre)
 
 
-class SurveyRow(Record):
-    """One classified k; equality and hashing leave out `witnesses`."""
+class SurveyRow(NamedTuple):
+    """One classified k; its witnesses are a dict, so hashing a row raises
+    TypeError."""
 
-    __slots__ = (
-        "k", "p", "l", "profile", "rank_lower", "rank_upper", "sha_psi", "sha_phi",
-        "witnesses",
-    )
-
-    def __init__(
-        self,
-        k: int,
-        p: int,
-        l: int | None,
-        profile: ResidueProfile | None,
-        rank_lower: int,
-        rank_upper: int,
-        sha_psi: SquareClassGroup,
-        sha_phi: SquareClassGroup,
-        witnesses: dict | None = None,
-    ):
-        witnesses = {} if witnesses is None else witnesses
-        self._set(k, p, l, profile, rank_lower, rank_upper, sha_psi, sha_phi, witnesses)
-
-    def _key(self) -> tuple:
-        return self._values()[:-1]
+    k: int
+    p: int
+    l: int | None
+    profile: ResidueProfile | None
+    rank_lower: int
+    rank_upper: int
+    sha_psi: SquareClassGroup
+    sha_phi: SquareClassGroup
+    witnesses: dict
 
     def to_json(self) -> dict:
         return {
@@ -173,22 +160,14 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
 
 def _build_row(c: Classification, height: int) -> SurveyRow:
     # descend takes the family's criteria whole when they agree with the
-    # computed descent and not at all otherwise: a contradicted one proves nothing
-    rank_lower, rank_upper, witnesses = 0, c.rank_bound, {}
-    if height > 0:
-        rep = descend(c.k, height=height)
-        rank_lower, rank_upper = rep.rank_lower, rep.rank_upper
-        witnesses = witnesses_json(rep.witnesses)
+    # computed descent and not at all otherwise: a contradicted one proves
+    # nothing, so a searched row takes its bounds and certificates from the report
+    if height == 0:
+        return SurveyRow(c.k, c.p, c.l, c.profile, 0, c.rank_bound, c.sha_psi, c.sha_phi, {})
+    rep = descend(c.k, height=height)
     return SurveyRow(
-        k=c.k,
-        p=c.p,
-        l=c.l,
-        profile=c.profile,
-        rank_lower=rank_lower,
-        rank_upper=rank_upper,
-        sha_psi=c.sha_psi,
-        sha_phi=c.sha_phi,
-        witnesses=witnesses,
+        c.k, c.p, c.l, c.profile, rep.rank_lower, rep.rank_upper,
+        rep.sha_psi_cert, rep.sha_phi_cert, witnesses_json(rep.witnesses),
     )
 
 
@@ -395,7 +374,7 @@ def verify_reference() -> VerifyReport:
 
     # large-k symbol list
     for k, p, l, want in SYMBOL_LIST_LARGE:
-        got = symbol_capital(l, p, SQRT2)
+        got = residue_profile(l, p).pi
         checks.append(
             CheckLine(f"symbol list k={k}", k == p * l and got == want, f"[L/P] = {got}")
         )

@@ -361,3 +361,10 @@ def test_primes_in_against_primerange(lo, hi):
     assert primes_in(lo, hi) == expect
     for residue in (1, 2, 3, 5, 7):
         assert primes_in(lo, hi, residue) == [p for p in expect if p % 8 == residue]
+
+
+def test_primes_in_takes_any_residue_mod_8():
+    # -1 and 9 are the classes 7 and 1, not empty ones
+    expect = list(sympy.primerange(0, 500))
+    for r in range(-16, 17):
+        assert primes_in(0, 500, r) == [p for p in expect if p % 8 == r % 8], r

@@ -11,6 +11,7 @@ from cndescent.arith import FactoredInteger
 from cndescent.criteria import Classification, ProfileClassification, ResidueProfile
 from cndescent.descent import DescentReport, Torsor, TorsorPoint
 from cndescent.quadring import GAUSS, QuadInt, Ring
+from cndescent.record import Record
 from cndescent.sqclass import LABELS, SquareClassGroup
 from cndescent.survey import (
     CheckLine,
@@ -107,7 +108,7 @@ RECORDS = {
 }
 
 # records with a dict field: equal ones compare equal, but hashing raises
-UNHASHABLE = {"DescentReport", "SurveySummary"}
+UNHASHABLE = {"DescentReport", "SurveyRow", "SurveySummary"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -148,11 +149,20 @@ def test_records_pickle(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_survey_row_equality_ignores_witnesses():
+def test_survey_row_equality_includes_witnesses():
+    # a row is a NamedTuple: it compares every field, and its dict of
+    # witnesses makes it unhashable
     a, b = _row({}), _row({"psi": {"2": [112, 9, 1]}})
-    assert a == b and hash(a) == hash(b)
-    assert a.witnesses != b.witnesses
-    assert _row({}) != SurveyRow(34, 17, None, None, 0, 2, _group(), _group())
+    assert a != b and a == _row({})
+    with pytest.raises(TypeError):
+        hash(a)
+    assert a != SurveyRow(34, 17, None, None, 0, 2, _group(), _group(), {})
+
+
+def test_only_records_that_must_not_act_as_tuples_derive_from_record():
+    # a group iterates over its classes, a ring element multiplies and a
+    # spec validates; every other record is a NamedTuple
+    assert set(Record.__subclasses__()) == {SquareClassGroup, QuadInt, FamilySpec}
 
 
 def test_records_differ_by_class_and_by_field():

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from cndescent import criteria, quadring
+from cndescent import criteria, descent, quadring
 from cndescent.arith import is_prime, jacobi
 from cndescent.criteria import ALL_PROFILES, residue_profile
 from cndescent.errors import BudgetExceeded, FamilyMismatch
+from cndescent.sqclass import SquareClassGroup
 from cndescent.survey import (
     REFERENCE_GRID,
     FamilySpec,
@@ -104,6 +105,23 @@ def test_survey_with_point_search():
     for r in rows:
         assert r.rank_lower <= r.rank_upper
         assert r.witnesses  # at the very least the free classes carry points
+
+
+def test_searched_rows_print_only_the_certificates_descend_took(monkeypatch):
+    spec = FamilySpec(bound=120, residues=(1, 1), legendre=1)
+    certs = [(r.k, r.sha_psi, r.sha_phi) for r in run_survey(spec)[0]]
+    assert [(r.k, r.sha_psi, r.sha_phi) for r in run_survey(spec, height=50)[0]] == certs
+    # criteria with a forged Sel^phi prove nothing, so descend takes none of
+    # their certificates (see test_descend_takes_no_certificate_from_criteria_it_contradicts),
+    # and a row must not print them either
+    real = descent.classify_auto
+    monkeypatch.setattr(
+        descent, "classify_auto", lambda k: real(k)._replace(selmer_phi=SquareClassGroup.span(2))
+    )
+    rows, _ = run_survey(spec, height=50)
+    trivial = SquareClassGroup.trivial()
+    assert [(r.k, r.sha_psi, r.sha_phi) for r in rows] == [(k, trivial, trivial) for k, _, _ in certs]
+    assert {r.k: r.rank_upper for r in rows}[4633] == 4
 
 
 def test_ndjson_round_trip():

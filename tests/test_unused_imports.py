@@ -4,11 +4,13 @@ public one by the package itself or by `cndescent.__all__`, every
 parameter default is overridden by some call (else it is a constant), every
 error class is raised or subclassed, every `raise` names an error class
 (the argument contract: a rejected argument raises a `DescentError`), every
-name in `cndescent.__all__` resolves and is listed once, and importing the
-CLI loads no third-party package (sympy is a test oracle only) and neither
-`dataclasses` nor `inspect`. The tests import only what they use, too.
+name in `cndescent.__all__` resolves and is listed once, only `criteria`
+imports from `quadring`, and only its kernels and ring constants, and
+importing the CLI loads no third-party package (sympy is a test oracle
+only) and neither `dataclasses` nor `inspect`. The tests import only what
+they use, too.
 
-`__init__` is exempt from the import check: its imports are the public
+`__init__` is exempt from the import checks: its imports are the public
 re-exports.
 """
 
@@ -216,6 +218,24 @@ def foreign_raises(errors: str, package: dict[str, str]) -> list[str]:
     return found
 
 
+def quadring_imports(package: dict[str, str]) -> dict[str, set[str]]:
+    """{module: the names it imports from `quadring`} for each package module
+    that imports any; importing the module itself counts as '*'."""
+    found: dict[str, set[str]] = {}
+    for mod, src in package.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("quadring"):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.endswith("quadring") for alias in node.names
+            ):
+                names = {"*"}
+            else:
+                continue
+            found.setdefault(mod, set()).update(names)
+    return found
+
+
 def test_checker_flags_an_unused_import():
     src = "from math import gcd, isqrt\nimport os.path\n\nprint(gcd(4, 6))\n"
     assert unused_imports(src) == ["isqrt (line 1)", "os (line 2)"]
@@ -293,6 +313,16 @@ def test_checker_flags_a_raise_of_a_class_outside_errors():
     ]
 
 
+def test_checker_finds_quadring_imports():
+    package = {
+        "a": "from .quadring import SQRT2, _root\nfrom .arith import jacobi\n",
+        "b": "from . import quadring\n",
+        "c": "import cndescent.quadring\n",
+        "d": "from .sqclass import span\n",
+    }
+    assert quadring_imports(package) == {"a": {"SQRT2", "_root"}, "b": {"*"}, "c": {"*"}}
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -333,6 +363,17 @@ def test_every_raise_names_an_error_class():
         "cli.convert: argparse.ArgumentTypeError",
         "cli._residues: argparse.ArgumentTypeError",
     ]
+
+
+def test_only_criteria_imports_from_quadring():
+    # criteria's symbols run on quadring's unchecked kernels and its ring
+    # constants; the checked API (split_prime, primary_associate,
+    # ring_symbol, symbol_capital) is the tests' oracle, so no runtime
+    # result may rest on it. `__init__`'s public re-export is exempt.
+    allowed = {"criteria": {"_root", "_euclid", "GAUSS", "SQRT2", "SQRTM2"}}
+    imports = quadring_imports({p.stem: p.read_text() for p in MODULES})
+    extra = {mod: names - allowed.get(mod, set()) for mod, names in imports.items()}
+    assert {mod: sorted(names) for mod, names in extra.items() if names} == {}
 
 
 def test_every_public_name_resolves_once():
