@@ -3,8 +3,9 @@ published reference grid.
 
 Three consumers: density sampling (what fraction of a family is certified
 rank 0), smallest-example searches for each of the 32 residue profiles, and
-`verify_reference`, which recomputes every row of the reference tables and
-reports mismatches as data rather than exceptions.
+`verify_reference`, which recomputes every row of the reference tables,
+judges each family's fixtures through `descend`, and reports mismatches as
+data rather than exceptions.
 """
 
 from __future__ import annotations
@@ -15,21 +16,18 @@ from typing import NamedTuple
 from .arith import jacobi, primes_in
 from .criteria import (
     ALL_PROFILES,
-    LAGRANGE_SELMER,
     Classification,
     ResidueProfile,
     _checked_profile,
     classify_2p,
-    classify_11_minus,
     classify_pair,
     classify_profile,
-    classify_small_residues,
     residue_profile,
 )
-from .descent import descend, selmer_group, witnesses_json
+from .descent import descend, witnesses_json
 from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet
 from .record import Record
-from .sqclass import SquareClassGroup, concretize, label_span
+from .sqclass import SquareClassGroup, label_span
 
 # --- family specification ---------------------------------------------------------
 
@@ -55,6 +53,9 @@ class FamilySpec(Record):
         if two_p == (residues is not None):
             raise PreconditionUnmet("exactly one of two_p / residues must be set")
         if residues is not None:
+            if not isinstance(residues, (tuple, list)) or len(residues) != 2:
+                raise PreconditionUnmet(f"residues must be a pair, got {residues!r}")
+            residues = tuple(residues)
             r1, r2 = residues
             if r1 not in (1, 3, 5, 7) or r2 not in (1, 3, 5, 7):
                 raise PreconditionUnmet(f"residues must lie in {{1,3,5,7}}, got {residues}")
@@ -286,6 +287,28 @@ SYMBOL_LIST_LARGE = (
     (94177, 41, 2297, -1),
 )
 
+# (name, k, family, Sha[2] dimension or None when open): descend(k, height=0)
+# must dispatch k to the family, take its criteria whole and pin that value.
+# Rows: the 2p family, each LAGRANGE_SELMER row at its smallest pair, spot checks
+FAMILY_CHECKS = (
+    ("2p family p=17", 34, "2p", None),
+    ("2p family p=41", 82, "2p", 2),
+    ("2p family p=73", 146, "2p", 2),
+    ("2p family p=89", 178, "2p", 2),
+    ("2p family p=97", 194, "2p", None),
+    ("selmer shape (1, 1, 1) at (p,l)=(17,89)", 1513, "pl-1mod8-plus", None),
+    ("selmer shape (1, 1, -1) at (p,l)=(17,41)", 697, "pl-1mod8-minus", 2),
+    ("selmer shape (5, 5, 1) at (p,l)=(5,29)", 145, "pl-5mod8", None),
+    ("selmer shape (5, 5, -1) at (p,l)=(5,13)", 65, "pl-5mod8", None),
+    ("selmer shape (3, 3, -1) at (p,l)=(11,3)", 33, "pl-3mod8", 0),
+    ("selmer shape (7, 7, 1) at (p,l)=(7,23)", 161, "pl-7mod8", None),
+    ("minus pair (17,73) undecided", 1241, "pl-1mod8-minus", None),
+    ("pair (5,37) certified", 185, "pl-5mod8", 2),
+    ("pair (7,31) certified", 217, "pl-7mod8", 2),
+    ("pair (3,19) certified", 57, "pl-3mod8", 0),
+)
+
+
 class CheckLine(NamedTuple):
     name: str
     passed: bool
@@ -346,7 +369,9 @@ def check_grid_row(i: int, row: GridRow) -> tuple[CheckLine, CheckLine]:
 
 
 def verify_reference() -> VerifyReport:
-    """Recompute every reference-table claim and report line by line."""
+    """Recompute every reference-table claim and report line by line; each
+    FAMILY_CHECKS row runs through descend, which holds the family's Selmer
+    groups and certificates against the computed descent."""
     checks: list[CheckLine] = []
 
     # census over the 32 profiles
@@ -379,47 +404,12 @@ def verify_reference() -> VerifyReport:
             CheckLine(f"symbol list k={k}", k == p * l and got == want, f"[L/P] = {got}")
         )
 
-    # k = 2p family against a direct Selmer computation
-    for p in (17, 41, 73, 89, 97):
-        cl = classify_2p(p)
-        ok = (
-            cl.selmer_psi == selmer_group(2 * p, "psi")
-            and cl.selmer_phi == selmer_group(2 * p, "phi")
-            and (cl.rank_bound == 0) == (p % 16 == 9)
-        )
-        checks.append(
-            CheckLine(
-                f"2p family p={p}",
-                ok,
-                f"selmer {sorted(cl.selmer_psi)}/{sorted(cl.selmer_phi)}, rank {cl.rank_bound}",
-            )
-        )
-
-    # Selmer shapes of the five pl families on their smallest pairs
-    fixture_pairs = {
-        (1, 1, 1): (17, 89),
-        (1, 1, -1): (17, 41),
-        (5, 5, 1): (5, 29),
-        (5, 5, -1): (5, 13),
-        (3, 3, -1): (11, 3),
-        (7, 7, 1): (7, 23),
-    }
-    for key, (p, l) in fixture_pairs.items():
-        k = p * l
-        want = concretize(p, l, *LAGRANGE_SELMER[key])
-        ok = (selmer_group(k, "psi"), selmer_group(k, "phi")) == want
-        checks.append(CheckLine(f"selmer shape {key} at (p,l)=({p},{l})", ok))
-
-    # certificate spot checks in the non-grid families
-    spots = [
-        ("minus pair (17,41) certified", classify_11_minus(17, 41).sha2_dim == 2),
-        ("minus pair (17,73) undecided", classify_11_minus(17, 73).sha2_dim is None),
-        ("pair (5,37) certified", classify_small_residues(5, 37).rank_bound == 0),
-        ("pair (5,13) undecided", classify_small_residues(5, 13).rank_bound > 0),
-        ("pair (7,31) certified", classify_small_residues(7, 31).rank_bound == 0),
-        ("pair (3,19) certified", classify_small_residues(3, 19).rank_bound == 0),
-    ]
-    for name, ok in spots:
-        checks.append(CheckLine(name, ok))
+    # the families through descend; a refused family's detail is descend's note
+    for name, k, family, sha2_dim in FAMILY_CHECKS:
+        rep = descend(k, height=0)
+        got = rep.classification.family if rep.classification else None
+        ok = got == family and rep.notes == () and rep.sha2_dim == sha2_dim
+        detail = "; ".join(rep.notes) or f"family {got}, sha2_dim {rep.sha2_dim}, want {sha2_dim}"
+        checks.append(CheckLine(name, ok, detail))
 
     return VerifyReport(tuple(checks))

@@ -19,6 +19,7 @@ from cndescent.arith import (
 )
 from cndescent.cli import main as cli_main
 from cndescent.criteria import (
+    LAGRANGE_SELMER,
     classify_11_plus,
     classify_2p,
     classify_profile,
@@ -36,7 +37,6 @@ from cndescent.quadring import (
 )
 from cndescent.sqclass import SquareClassGroup, concretize
 from cndescent.survey import (
-    LAGRANGE_SELMER,
     REFERENCE_GRID,
     SYMBOL_LIST_LARGE,
     SYMBOL_TABLE_SMALL,

@@ -247,6 +247,10 @@ PROBES = {
         "FamilySpec(100, residues=(2, 2))": "PreconditionUnmet",
         "FamilySpec(100, residues=(-1, -1))": "PreconditionUnmet",
         "FamilySpec(100, residues=(1, 5))": "FamilyMismatch",
+        "FamilySpec(100, residues=1)": "PreconditionUnmet",
+        "FamilySpec(100, residues=(1, 1, 1))": "PreconditionUnmet",
+        "FamilySpec(100, residues=(1,))": "PreconditionUnmet",
+        "hash(FamilySpec(100, residues=[1, 1]))": "answer",
         "FamilySpec(100, residues=(1, 1), legendre=0)": "PreconditionUnmet",
         "FamilySpec(100, residues=(3, 3), legendre=1)": "PreconditionUnmet",
         "FamilySpec(100, two_p=True, legendre=-1)": "PreconditionUnmet",

@@ -32,6 +32,7 @@ def test_family_spec_validation():
         FamilySpec(bound=100, residues=(2, 2))
     with pytest.raises(ValueError):
         FamilySpec(bound=100, residues=(3, 3), legendre=1)
+    assert FamilySpec(bound=100, residues=[1, 1]) == FamilySpec(bound=100, residues=(1, 1))
 
 
 def test_survey_two_p():
@@ -183,3 +184,23 @@ def test_verify_reference_all_green():
     text = report.render()
     assert "all passed" in text
     assert "FAIL" not in text
+
+
+def test_verify_fails_exactly_the_fixtures_of_a_forged_selmer_row(monkeypatch):
+    psi, _ = criteria.LAGRANGE_SELMER[5, 5, -1]
+    monkeypatch.setitem(criteria.LAGRANGE_SELMER, (5, 5, -1), (psi, ("p", "l")))
+    failed = [c for c in verify_reference().checks if not c.passed]
+    assert [c.name for c in failed] == [
+        "selmer shape (5, 5, -1) at (p,l)=(5,13)", "pair (5,37) certified",
+    ]
+    assert all("selmer mismatch on phi" in c.detail for c in failed)
+
+
+def test_verify_pins_each_family_verdict(monkeypatch):
+    # an obstruction at (5, 13) is still consistent with the descent, so
+    # only the pinned Sha[2] dimension catches it
+    monkeypatch.setattr(criteria, "_gauss_unit_symbol", lambda p, l: -1)
+    failed = [c for c in verify_reference().checks if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [(
+        "selmer shape (5, 5, -1) at (p,l)=(5,13)", "family pl-5mod8, sha2_dim 2, want None",
+    )]

@@ -5,10 +5,10 @@ parameter default is overridden by some call (else it is a constant), every
 error class is raised or subclassed, every `raise` names an error class
 (the argument contract: a rejected argument raises a `DescentError`), every
 name in `cndescent.__all__` resolves and is listed once, only `criteria`
-imports from `quadring`, and only its kernels and ring constants, and
-importing the CLI loads no third-party package (sympy is a test oracle
-only) and neither `dataclasses` nor `inspect`. The tests import only what
-they use, too.
+imports from `quadring`, and only its kernels and ring constants, only
+`descent` and `cli` use `selmer_group`, and importing the CLI loads no
+third-party package (sympy is a test oracle only) and neither
+`dataclasses` nor `inspect`. The tests import only what they use, too.
 
 `__init__` is exempt from the import checks: its imports are the public
 re-exports.
@@ -374,6 +374,14 @@ def test_only_criteria_imports_from_quadring():
     imports = quadring_imports({p.stem: p.read_text() for p in MODULES})
     extra = {mod: names - allowed.get(mod, set()) for mod, names in imports.items()}
     assert {mod: sorted(names) for mod, names in extra.items() if names} == {}
+
+
+def test_only_descent_and_cli_use_selmer_group():
+    # every family's Selmer groups are held against the computed ones in
+    # one place, descend; the CLI's `selmer` subcommand prints them.
+    # `__init__`'s public re-export is exempt.
+    users = [p.stem for p in MODULES if "selmer_group" in _references(ast.parse(p.read_text()))]
+    assert users == ["cli", "descent"]
 
 
 def test_every_public_name_resolves_once():
