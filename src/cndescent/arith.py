@@ -118,28 +118,42 @@ class FactoredInteger(NamedTuple):
         return s
 
 
-def primes_in(lo: int, hi: int, residue: int | None = None) -> list[int]:
-    """Primes in [lo, hi), optionally only those = residue mod 8.
-
-    A sieve of Eratosthenes over the segment alone, crossed off by the
-    primes up to sqrt(hi), so it takes hi - lo + sqrt(hi) bytes.
-    """
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
+def _sieve(lo: int, hi: int) -> bytearray:
+    """Primality flags of [lo, hi), 2 <= lo < hi: a sieve of Eratosthenes
+    over the segment alone, crossed off by the primes up to sqrt(hi), so
+    it takes hi - lo + sqrt(hi) bytes."""
     flags = bytearray([1]) * (hi - lo)
     for q in primes_in(2, isqrt(hi - 1) + 1):
         start = max(q * q, -(-lo // q) * q) - lo
         if start < hi - lo:  # most base primes miss a short, far window
             flags[start::q] = bytes(len(range(start, hi - lo, q)))
-    ps = compress(range(lo, hi), flags)
+    return flags
+
+
+def primes_in(lo: int, hi: int, residue: int | None = None) -> list[int]:
+    """Primes in [lo, hi), optionally only those = residue mod 8, from
+    `_sieve` over the range."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    ps = compress(range(lo, hi), _sieve(lo, hi))
     if residue is None:
         return list(ps)
     residue %= 8
     return [p for p in ps if p % 8 == residue]
 
 
-_TRIAL_PRIMES = tuple(primes_in(2, 1000))
+# is_prime answers n below this bound from one bit per n, bit n & 7 of byte
+# n >> 3. Reversed in place, the sieve's flags for n = 2, 3, ... are the
+# binary digits of the table as a little-endian int, shifted down by 2.
+_TABLE_BOUND = 1 << 16
+_flags = _sieve(2, _TABLE_BOUND)
+_TRIAL_PRIMES = tuple(compress(range(2, 1000), _flags))
+_flags.reverse()
+_PRIME_TABLE = (int(_flags.translate(bytes.maketrans(b"\0\1", b"01")), 2) << 2).to_bytes(
+    _TABLE_BOUND // 8, "little"
+)
+del _flags
 _SMALL_PRIMES = _TRIAL_PRIMES[:13]  # 2 .. 41
 _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)  # 304250263527210
 
@@ -202,6 +216,18 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Whether the integer n is prime (False for n < 2).
 
+    Below _TABLE_BOUND = 2^16 one bit of `_PRIME_TABLE` answers: the
+    table is 8 KiB, sieved once at import by `_sieve` in about 0.3 ms.
+    Above it, `_probable_prime`.
+    """
+    if n < _TABLE_BOUND:
+        return n >= 2 and _PRIME_TABLE[n >> 3] >> (n & 7) & 1 == 1
+    return _probable_prime(n)
+
+
+def _probable_prime(n: int) -> bool:
+    """Primality of an integer n >= 2 without the table.
+
     Trial division by the primes up to 41, as one gcd with their product,
     then Miller-Rabin to the first k primes, with k chosen by the size of
     n so that the answer is proven exact below 3.317*10^24. Above that it
@@ -209,8 +235,6 @@ def is_prime(n: int) -> bool:
     (Baillie and Wagstaff, Math. Comp. 35 (1980)), which no known
     composite passes.
     """
-    if n < 2:
-        return False
     if gcd(n, _SMALL_PRIMORIAL) != 1:  # a prime up to 41 divides n
         return n in _SMALL_PRIMES
     if n < 43 * 43:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .arith import _legendre, factor
 from .criteria import Classification, classify_auto, selmer_rank_bound
-from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet
+from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet, is_int
 from .sqclass import SquareClassGroup, _extend, squarefree_mul
 
 PSI = "psi"
@@ -49,8 +49,8 @@ class TorsorPoint(NamedTuple):
 def _torsor_constant(k: int, side: str) -> int:
     """b1 b2, the same on every torsor of the side: -k^2 on psi, and on phi
     4k^2 for odd k or k^2/4 for even k."""
-    if k < 1:
-        raise PreconditionUnmet("k must be a positive integer")
+    if not is_int(k) or k < 1:
+        raise PreconditionUnmet(f"k must be a positive integer, got {k!r}")
     if side not in (PSI, PHI):
         raise PreconditionUnmet(f"side must be {PSI!r} or {PHI!r}, got {side!r}")
     if side == PSI:

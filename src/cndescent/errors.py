@@ -6,8 +6,14 @@ returns a sentinel value; symbols are +1/-1 or an exception.
 
 The argument contract: every rejected argument raises a `DescentError`.
 A check with no more specific class raises `PreconditionUnmet`, which is
-also a `ValueError`.
+also a `ValueError`. An integer argument of another type is rejected too
+(`is_int`), where the check costs nothing next to the call.
 """
+
+
+def is_int(value) -> bool:
+    """Whether value may stand for an integer argument: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class DescentError(Exception):

@@ -3,7 +3,7 @@ the label group over the basis (2, p, l) in which the criteria name them."""
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 from operator import itemgetter, xor
 
@@ -86,8 +86,10 @@ class SquareClassGroup(Record):
         return x in self.elements
 
     def __iter__(self):
-        """Classes by (|x|, x < 0); the JSON outputs list groups in this order."""
-        return iter(sorted(self.elements, key=lambda v: (abs(v), v < 0)))
+        """Classes by (|x|, x < 0); the JSON outputs list groups in this
+        order. Two C-level sorts give it: x descending puts x before -x,
+        and the stable sort by |x| keeps that."""
+        return iter(sorted(sorted(self.elements, reverse=True), key=abs))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -149,15 +151,30 @@ def concretize(p: int, l: int, *label_sets) -> tuple[SquareClassGroup, ...]:
     p and l must be distinct odd primes: then -1, 2, p, l are independent
     modulo squares, a group is the XOR span of its labels' masks over
     them, and each mask's class is the product of its basis elements.
+
+    Which classes each group takes depends on the label sets alone, so
+    `_plan` works it out once per distinct tuple of sets; a pair then
+    costs its value table and one frozenset per nontrivial group.
     """
     pl = p * l
     values = (1, -1, 2, -2, p, -p, 2 * p, -2 * p,
               l, -l, 2 * l, -2 * l, pl, -pl, 2 * pl, -2 * pl)
-    groups = []
-    for labels in label_sets:
-        masks, pick = _span_masks(frozenset(labels))
-        groups.append(_TRIVIAL if len(masks) == 1 else SquareClassGroup(frozenset(pick(values))))
-    return tuple(groups)
+    try:
+        plan = _plan(label_sets)
+    except TypeError:  # a label set that is not hashable, a list say
+        plan = _plan(tuple(map(frozenset, label_sets)))
+    return tuple([_TRIVIAL if pick is None else SquareClassGroup(frozenset(pick(values)))
+                  for pick in plan])
+
+
+@lru_cache(maxsize=64)
+def _plan(label_sets: tuple) -> tuple[itemgetter | None, ...]:
+    """Per label set, the `_span_masks` getter of its span's classes from
+    `concretize`'s value table, or None for the trivial span. The
+    classifiers pass 16 distinct tuples: 11 for the 32 (1,1)+ profiles,
+    whose certificates repeat, and one for each other Selmer row."""
+    return tuple(None if len(masks) == 1 else pick
+                 for masks, pick in map(_span_masks, map(frozenset, label_sets)))
 
 
 @cache

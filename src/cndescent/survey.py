@@ -10,7 +10,8 @@ data rather than exceptions.
 
 from __future__ import annotations
 
-import json
+from json import JSONEncoder
+from operator import attrgetter
 from typing import NamedTuple
 
 from .arith import jacobi, primes_in
@@ -25,7 +26,7 @@ from .criteria import (
     residue_profile,
 )
 from .descent import descend, witnesses_json
-from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet
+from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet, is_int
 from .record import Record
 from .sqclass import SquareClassGroup, label_span
 
@@ -48,22 +49,21 @@ class FamilySpec(Record):
         two_p: bool = False,
         legendre: int | None = None,
     ):
-        if bound < 3:
-            raise PreconditionUnmet(f"bound must be >= 3, got {bound}")
+        if not is_int(bound) or bound < 3:
+            raise PreconditionUnmet(f"bound must be an int >= 3, got {bound!r}")
         if two_p == (residues is not None):
             raise PreconditionUnmet("exactly one of two_p / residues must be set")
         if residues is not None:
             if not isinstance(residues, (tuple, list)) or len(residues) != 2:
                 raise PreconditionUnmet(f"residues must be a pair, got {residues!r}")
             residues = tuple(residues)
-            r1, r2 = residues
-            if r1 not in (1, 3, 5, 7) or r2 not in (1, 3, 5, 7):
-                raise PreconditionUnmet(f"residues must lie in {{1,3,5,7}}, got {residues}")
-            if r1 != r2:
+            if not all(is_int(r) and r in (1, 3, 5, 7) for r in residues):
+                raise PreconditionUnmet(f"residues must be ints in {{1,3,5,7}}, got {residues}")
+            if residues[0] != residues[1]:
                 raise FamilyMismatch(
                     f"mixed residue classes {residues} have no classification"
                 )
-        if legendre not in (None, 1, -1):
+        if not (legendre is None or is_int(legendre) and legendre in (1, -1)):
             raise PreconditionUnmet(f"legendre must be +-1 or None, got {legendre}")
         if legendre is not None and (two_p or residues[0] in (3, 7)):
             # for p = l = 3 or 7 mod 8, (p/l) = -(l/p): the sign depends on
@@ -147,7 +147,7 @@ def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], Surv
                 if spec.legendre is not None and jacobi(p, l) != spec.legendre:
                     continue
                 rows.append(_build_row(classify_pair(p, l), height))
-    rows.sort(key=lambda row: (row.k, row.p))
+    rows.sort(key=attrgetter("k", "p"))
     per_profile: dict = {}
     for row in rows:
         per_profile[row.profile] = per_profile.get(row.profile, 0) + 1
@@ -172,9 +172,14 @@ def _build_row(c: Classification, height: int) -> SurveyRow:
     )
 
 
+# json.dumps's text without its check for circular references, which the
+# rows' plain dicts and lists cannot have
+_encode = JSONEncoder(check_circular=False).encode
+
+
 def render_ndjson(rows: list[SurveyRow], summary: SurveySummary) -> str:
-    out = [json.dumps(row.to_json()) for row in rows]
-    out.append(json.dumps(summary.to_json()))
+    out = [_encode(row.to_json()) for row in rows]
+    out.append(_encode(summary.to_json()))
     return "\n".join(out) + "\n"
 
 

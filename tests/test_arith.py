@@ -10,7 +10,9 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from cndescent.arith import (
     _FACTOR_LIMIT,
+    _TABLE_BOUND,
     FactoredInteger,
+    _probable_prime,
     _strong_lucas_probable_prime,
     factor,
     is_prime,
@@ -309,6 +311,15 @@ def test_is_prime_below_10_6_against_sympy():
     n = 10**6
     assert list(compress(range(n), map(is_prime, range(n)))) == list(sympy.primerange(0, n))
     assert not any(is_prime(m) for m in range(-50, 2))
+
+
+def test_is_prime_table_agrees_with_the_test_it_replaces():
+    # every n the table answers and 2000 past its edge, against the
+    # Miller-Rabin/BPSW path that answers from the edge on
+    assert _TABLE_BOUND == 2**16
+    ns = range(-10, _TABLE_BOUND + 2000)
+    assert [n for n in ns if is_prime(n) != (n >= 2 and _probable_prime(n))] == []
+    assert is_prime(65521) and not is_prime(65535) and not is_prime(65536) and is_prime(65537)
 
 
 # the least strong pseudoprimes to the first k primes, k = 1..13 (ten distinct

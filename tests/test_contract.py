@@ -7,6 +7,11 @@ One child process, capped at 1 GiB of address space, evaluates every probe
 below and reports each outcome. Work-size arguments (`height`, `bound`, wide
 `primes_in` ranges) are out of scope: refusing those needs time and memory
 budgets, so every probe keeps them small.
+
+Hostile types are in scope where the type check is cheap next to the call:
+`FamilySpec` (bound, residues, legendre) and `descend` (k) refuse a value
+that is not an int, a bool included. The symbols, `jacobi` first, run
+thousands of times per survey and stay unchecked for type.
 """
 
 import json
@@ -144,6 +149,8 @@ PROBES = {
         "descend(18, 10)": "answer",
         "descend(697, -1)": "PreconditionUnmet",
         "descend(BIG, 10)": "FactorBudgetExceeded",
+        "descend('5')": "PreconditionUnmet",
+        "descend(5.0)": "PreconditionUnmet",
     },
     "enumerate_torsors": {
         "enumerate_torsors(697, PSI)": "answer",
@@ -255,6 +262,11 @@ PROBES = {
         "FamilySpec(100, residues=(3, 3), legendre=1)": "PreconditionUnmet",
         "FamilySpec(100, two_p=True, legendre=-1)": "PreconditionUnmet",
         "FamilySpec(BIG, two_p=True)": "answer",
+        "FamilySpec(100, residues=(1.0, 1))": "PreconditionUnmet",
+        "FamilySpec(100, residues=(True, True))": "PreconditionUnmet",
+        "FamilySpec('100', two_p=True)": "PreconditionUnmet",
+        "FamilySpec(True, two_p=True)": "PreconditionUnmet",
+        "FamilySpec(100, residues=(1, 1), legendre=1.0)": "PreconditionUnmet",
     },
     "run_survey": {
         "run_survey(FamilySpec(200, residues=(1, 1)), 5)": "answer",

@@ -7,6 +7,7 @@ import pytest
 from cndescent.criteria import PHI_CLASSES
 from cndescent.errors import NotAGroup, PreconditionUnmet
 from cndescent.sqclass import SquareClassGroup, concretize, label_span, squarefree_mul
+from cndescent.survey import REFERENCE_GRID
 
 
 def test_squarefree_mul_cancels_common_part():
@@ -135,7 +136,29 @@ def test_concretize_matches_span_on_every_label_subset():
         # one call with every subset, as tuples and as frozensets
         assert concretize(p, l, *subs) == want, (p, l)
         assert concretize(p, l, *map(frozenset, subs)) == want, (p, l)
+    # a list is a label set too, though it cannot key the plan cache
+    assert concretize(17, 89, ["p", "-1"], ()) == concretize(17, 89, ("p", "-1"), ())
     assert concretize(17, 89) == ()
+
+
+def test_iteration_order_is_abs_then_positive_first():
+    def want(group):
+        return sorted(group.elements, key=lambda v: (abs(v), v < 0))
+
+    labels = ("-1", "1", "2", "p", "2p", "l", "2l", "pl", "2pl")
+    subs = [sub for n in range(len(labels) + 1) for sub in itertools.combinations(labels, n)]
+    for row in REFERENCE_GRID:
+        for group in concretize(*row.example, *subs):
+            assert list(group) == want(group), (row.example, group)
+    # spans with negative classes, -1 among the generators or not
+    rng = random.Random(32)
+    for _ in range(300):
+        gens = [
+            rng.choice((1, -1)) * math.prod(rng.sample((2, 3, 5, 7, 11, 13), rng.randrange(1, 4)))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        for group in (SquareClassGroup.span(*gens), SquareClassGroup.span(-1, *gens)):
+            assert list(group) == want(group), gens
 
 
 def test_concretize_rejects_an_unknown_label():

@@ -1,5 +1,6 @@
 """Family surveys, smallest-example searches, and the reference regression."""
 
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,37 @@ def test_ndjson_round_trip():
         assert obj["k"] == row.k
         # canonical JSON: rendering the parsed row again is identical
         assert json.dumps(obj) == json.dumps(row.to_json())
+
+
+# sha256 of render_ndjson(*run_survey(spec, height)) for the (1,1)+
+# benchmark sweep, each other family at a small bound, and a searched (1,1)
+# spec whose 21 rows all print witnesses: a faster encoder, row sort or
+# class order must keep these bytes
+NDJSON_SHA256 = (
+    ((4000, (1, 1), False, 1), 0, 4039,
+     "5826a65a02c7eedec187f164d31e0ed1f59a292261b20ce06c379e0add306461"),
+    ((3000, None, True, None), 0, 101,
+     "25f17700498f95aa29f05484c8ff858fe541a695cd50745eafa59d23374bc167"),
+    ((300, (3, 3), False, None), 0, 120,
+     "0fecb24fec83f193fe9b4aa6ddfaebd1715ada2d4b81c4b8d6957547bca2de7e"),
+    ((300, (5, 5), False, None), 0, 136,
+     "df107afddc61017eae6096742d81d204d41c3a7ba626295e78a0080de0c57994"),
+    ((300, (7, 7), False, None), 0, 120,
+     "94ae16b0ebb02993be9cc0e0ed8d12f55fd1a610de5474f4b22c033e4025843a"),
+    ((150, (1, 1), False, None), 60, 21,
+     "7575cd768975cbd5c47b9e4692e4c338da974d96205201f85501fc7377a278f7"),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, height, n_rows, digest", NDJSON_SHA256,
+    ids=["11plus-4000", "2p-3000", "33-300", "55-300", "77-300", "11-150-h60"],
+)
+def test_ndjson_bytes_are_pinned(spec, height, n_rows, digest):
+    rows, summary = run_survey(FamilySpec(*spec), height)
+    assert len(rows) == n_rows
+    assert all(row.witnesses for row in rows) == (height > 0)
+    assert hashlib.sha256(render_ndjson(rows, summary).encode()).hexdigest() == digest
 
 
 def test_smallest_example_fixtures():
