@@ -27,6 +27,7 @@ from .errors import (
     InconsistentCriteria,
     PreconditionUnmet,
     UndefinedSymbol,
+    is_int,
 )
 from .quadring import GAUSS, SQRT2, _euclid, _root
 from .sqclass import LABELS, SquareClassGroup, _extend, _label_mul, concretize, label_span
@@ -51,11 +52,12 @@ def _checked_profile(profile) -> ResidueProfile:
     return ResidueProfile(*profile)
 
 
-def _distinct_1mod8_primes(p: int, l: int) -> bool:
-    """The pair hypothesis of the pl = 1 mod 8 criteria."""
-    if p % 8 != 1 or l % 8 != 1 or p == l:
-        return False
-    return is_prime(p) and is_prime(l)
+def _pair_class(p: int, l: int) -> int | None:
+    """The pl criteria's pair hypothesis: r when p, l are distinct int primes
+    = r mod 8, else None. Types first: `%` on a str formats it."""
+    if not (is_int(p) and is_int(l)) or p % 8 != l % 8 or p == l:
+        return None
+    return p % 8 if is_prime(p) and is_prime(l) else None
 
 
 # covers the 2,384 primes = 1 mod 8 below 10^5, the largest survey box;
@@ -121,8 +123,8 @@ def residue_profile(p: int, l: int) -> ResidueProfile:
     most recently used checked primes, so a survey, where hundreds of
     pairs share each prime, computes each record once per prime.
     """
-    if not _distinct_1mod8_primes(p, l):
-        raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
+    if _pair_class(p, l) != 1:
+        raise FamilyMismatch(f"({p!r}, {l!r}) is not a pair of distinct primes = 1 mod 8")
     try:
         a = _quartic(l, p)
     except UndefinedSymbol:
@@ -354,8 +356,8 @@ def classify_11_minus(p: int, l: int) -> Classification:
     #Sha(E)[2] = 4. Otherwise each nontrivial class carries a necessary
     condition which that sign equation makes pass or fail together.
     """
-    if not _distinct_1mod8_primes(p, l):
-        raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct primes = 1 mod 8")
+    if _pair_class(p, l) != 1:
+        raise FamilyMismatch(f"({p!r}, {l!r}) is not a pair of distinct primes = 1 mod 8")
     if jacobi(p, l) != -1:
         raise FamilyMismatch(f"classify_11_minus needs (p/l) = -1 for ({p}, {l})")
     cp, cl = _octic(p), _octic(l)
@@ -369,8 +371,8 @@ def classify_11_minus(p: int, l: int) -> Classification:
 def classify_2p(p: int) -> Classification:
     """k = 2p with p = 1 mod 8: Selmer <-1, 2, p> and <p>; rank 0 with
     Sha[psi] = Sha[phi] = <p> when p = 9 mod 16."""
-    if p % 8 != 1 or not is_prime(p):
-        raise FamilyMismatch(f"classify_2p needs a prime = 1 mod 8, got {p}")
+    if not is_int(p) or p % 8 != 1 or not is_prime(p):
+        raise FamilyMismatch(f"classify_2p needs a prime = 1 mod 8, got {p!r}")
     s_phi = SquareClassGroup.span(p)
     obstructed = p % 16 == 9
     notes = () if obstructed else (f"p = {p % 16} mod 16: no obstruction certificate",)
@@ -449,14 +451,9 @@ def classify_small_residues(p: int, l: int) -> Classification:
           on psi die when [Lambda/Pi] = -1 in Z[sqrt2], Lambda of norm -l
           with b even and a + b = 1 mod 4 (see _lambda_pi_symbol).
     """
-    if not (is_prime(p) and is_prime(l)) or p == l or p % 2 == 0 or l % 2 == 0:
-        raise FamilyMismatch(f"({p}, {l}) is not a pair of distinct odd primes")
-    r = p % 8
-    if l % 8 != r or r not in (3, 5, 7):
-        raise FamilyMismatch(
-            f"classify_small_residues covers p = l = 3, 5, 7 mod 8; "
-            f"got ({p % 8}, {l % 8})"
-        )
+    r = _pair_class(p, l)
+    if r not in (3, 5, 7):
+        raise FamilyMismatch(f"({p!r}, {l!r}) is not a pair of distinct primes = 3, 5 or 7 mod 8")
     if r == 3:
         return Classification("pl-3mod8", p, l, *_selmer((3, 3, -1), p, l))
     if r == 5:

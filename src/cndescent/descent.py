@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .arith import _legendre, factor
 from .criteria import Classification, classify_auto, selmer_rank_bound
-from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet, is_int
+from .errors import BadResidueClass, InconsistentCriteria, PreconditionUnmet, check_height, is_int
 from .sqclass import SquareClassGroup, _extend, squarefree_mul
 
 PSI = "psi"
@@ -303,13 +303,12 @@ def search_points(
     bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9) and the
     tuples of _tiles, keyed the same way.
 
-    Raises PreconditionUnmet for a zero b1 or b2 or a negative height.
+    Raises PreconditionUnmet for a zero b1 or b2 or a height not an int >= 0.
     """
     b1, b2 = torsor.b1, torsor.b2
     if b1 == 0 or b2 == 0:
         raise PreconditionUnmet(f"torsor coefficients must be nonzero, got {b1}, {b2}")
-    if height < 0:
-        raise PreconditionUnmet(f"height must be >= 0, got {height}")
+    check_height(height)
     found: list[TorsorPoint] = []
     if b1 < 0 and b2 < 0:
         return found
@@ -478,8 +477,7 @@ def descend(k: int, height: int = 1000) -> DescentReport:
     walks the candidates in group order and skips ws. A class b1 found
     outside ws keeps W meet Sha = {1}: b1 w in Sha would put b1 in ws.
     """
-    if height < 0:
-        raise PreconditionUnmet(f"height must be >= 0, got {height}")
+    check_height(height)
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
     witnesses = {s: _free_classes(k, s) for s in (PSI, PHI)}
     for side, torsion in witnesses.items():

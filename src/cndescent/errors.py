@@ -7,7 +7,8 @@ returns a sentinel value; symbols are +1/-1 or an exception.
 The argument contract: every rejected argument raises a `DescentError`.
 A check with no more specific class raises `PreconditionUnmet`, which is
 also a `ValueError`. An integer argument of another type is rejected too
-(`is_int`), where the check costs nothing next to the call.
+(`is_int`, and `check_height` for every search height), where the check
+costs nothing next to the call.
 """
 
 
@@ -78,3 +79,9 @@ class FrozenRecord(DescentError, AttributeError):
 class PreconditionUnmet(DescentError, ValueError):
     """Operation precondition fails for these arguments; a `ValueError` too,
     so `except ValueError` callers catch it."""
+
+
+def check_height(height) -> None:
+    """Refuse a point-search height that is not an int >= 0."""
+    if not is_int(height) or height < 0:
+        raise PreconditionUnmet(f"height must be an int >= 0, got {height!r}")

@@ -10,6 +10,7 @@ data rather than exceptions.
 
 from __future__ import annotations
 
+from collections import Counter
 from json import JSONEncoder
 from operator import attrgetter
 from typing import NamedTuple
@@ -17,7 +18,6 @@ from typing import NamedTuple
 from .arith import jacobi, primes_in
 from .criteria import (
     ALL_PROFILES,
-    Classification,
     ResidueProfile,
     _checked_profile,
     classify_2p,
@@ -26,7 +26,7 @@ from .criteria import (
     residue_profile,
 )
 from .descent import descend, witnesses_json
-from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet, is_int
+from .errors import BudgetExceeded, FamilyMismatch, PreconditionUnmet, check_height, is_int
 from .record import Record
 from .sqclass import SquareClassGroup, label_span
 
@@ -51,6 +51,8 @@ class FamilySpec(Record):
     ):
         if not is_int(bound) or bound < 3:
             raise PreconditionUnmet(f"bound must be an int >= 3, got {bound!r}")
+        if not isinstance(two_p, bool):
+            raise PreconditionUnmet(f"two_p must be a bool, got {two_p!r}")
         if two_p == (residues is not None):
             raise PreconditionUnmet("exactly one of two_p / residues must be set")
         if residues is not None:
@@ -129,47 +131,36 @@ class SurveySummary(NamedTuple):
 def run_survey(spec: FamilySpec, height: int = 0) -> tuple[list[SurveyRow], SurveySummary]:
     """Classify every qualifying pair of primes below spec.bound.
 
-    With height > 0 each k additionally gets a descent point search, which
-    fills rank_lower and witnesses; by default only the residue criteria
-    run and rank_lower is the trivial 0.
+    By default only the residue criteria run and rank_lower is the trivial
+    0. With height > 0 a row is the report of descend(k, height), which
+    classifies k itself: the survey classifies nothing, and the row reads
+    k, p, l and the profile from the report's classification.
     """
-    if height < 0:
-        raise PreconditionUnmet(f"height must be >= 0, got {height}")
-    rows: list[SurveyRow] = []
+    check_height(height)
     if spec.two_p:
-        for p in primes_in(17, spec.bound, residue=1):
-            rows.append(_build_row(classify_2p(p), height))
+        pairs = ((p, None) for p in primes_in(17, spec.bound, residue=1))
     else:
-        r = spec.residues[0]
-        ps = primes_in(3, spec.bound, residue=r)
-        for i, p in enumerate(ps):
-            for l in ps[i + 1 :]:
-                if spec.legendre is not None and jacobi(p, l) != spec.legendre:
-                    continue
-                rows.append(_build_row(classify_pair(p, l), height))
-    rows.sort(key=attrgetter("k", "p"))
-    per_profile: dict = {}
-    for row in rows:
-        per_profile[row.profile] = per_profile.get(row.profile, 0) + 1
-    summary = SurveySummary(
-        total=len(rows),
-        rank_zero=sum(1 for row in rows if row.rank_upper == 0),
-        per_profile=per_profile,
-    )
-    return rows, summary
+        ps = primes_in(3, spec.bound, residue=spec.residues[0])
+        pairs = (
+            (p, l) for i, p in enumerate(ps) for l in ps[i + 1 :]
+            if spec.legendre is None or jacobi(p, l) == spec.legendre
+        )
+    rows = sorted((_row(p, l, height) for p, l in pairs), key=attrgetter("k", "p"))
+    rank_zero = sum(1 for row in rows if row.rank_upper == 0)
+    return rows, SurveySummary(len(rows), rank_zero, Counter(row.profile for row in rows))
 
 
-def _build_row(c: Classification, height: int) -> SurveyRow:
-    # descend takes the family's criteria whole when they agree with the
-    # computed descent and not at all otherwise: a contradicted one proves
-    # nothing, so a searched row takes its bounds and certificates from the report
+def _row(p: int, l: int | None, height: int) -> SurveyRow:
+    """The row of k = pl, or of k = 2p when l is None. descend takes the
+    family's criteria whole when they agree with the computed descent and
+    not at all otherwise, so a searched row is its report alone."""
     if height == 0:
+        c = classify_2p(p) if l is None else classify_pair(p, l)
         return SurveyRow(c.k, c.p, c.l, c.profile, 0, c.rank_bound, c.sha_psi, c.sha_phi, {})
-    rep = descend(c.k, height=height)
-    return SurveyRow(
-        c.k, c.p, c.l, c.profile, rep.rank_lower, rep.rank_upper,
-        rep.sha_psi_cert, rep.sha_phi_cert, witnesses_json(rep.witnesses),
-    )
+    rep = descend(2 * p if l is None else p * l, height=height)
+    c = rep.classification
+    return SurveyRow(c.k, c.p, c.l, c.profile, rep.rank_lower, rep.rank_upper,
+                     rep.sha_psi_cert, rep.sha_phi_cert, witnesses_json(rep.witnesses))
 
 
 # json.dumps's text without its check for circular references, which the
@@ -191,8 +182,11 @@ def smallest_example(profile: ResidueProfile, bound: int = 10**5) -> tuple[int, 
     1 mod 8, with (p/l) = +1, whose residue profile matches. The p < l
     normalization matters: the profile reads p and l asymmetrically, so
     the swapped pair realizes a different row. Raises PreconditionUnmet,
-    before any scan, for a profile that is not five signs +-1."""
+    before any scan, for a profile that is not five signs +-1 or a bound
+    that is not an int."""
     profile = _checked_profile(profile)
+    if not is_int(bound):
+        raise PreconditionUnmet(f"bound must be an int, got {bound!r}")
     ps = primes_in(17, bound // 17 + 1, residue=1)
     pairs = []
     for i, p in enumerate(ps):

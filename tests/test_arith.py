@@ -363,6 +363,17 @@ def test_strong_lucas_against_sympy():
             assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
+def test_strong_lucas_exits_when_a_selfridge_d_shares_a_factor():
+    # n = 43 * 58717 has (D/n) != -1 for D = 5, -7, ..., 41, so the walk
+    # reaches D = -43, which shares the factor 43 with n
+    n = 2524831
+    assert n == 43 * 58717
+    assert all(jacobi((-1) ** i * (5 + 2 * i), n) != -1 for i in range(19))
+    with pytest.raises(NotCoprime):
+        jacobi(-43, n)
+    assert _strong_lucas_probable_prime(n) is False
+
+
 @pytest.mark.parametrize(
     "lo,hi", [(-10, 2), (0, 3), (2, 3), (3, 1000), (17, 4000), (997, 1009),
               (10**6 - 500, 10**6 + 500), (10**12, 10**12 + 10**4)]

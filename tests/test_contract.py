@@ -8,10 +8,14 @@ below and reports each outcome. Work-size arguments (`height`, `bound`, wide
 `primes_in` ranges) are out of scope: refusing those needs time and memory
 budgets, so every probe keeps them small.
 
-Hostile types are in scope where the type check is cheap next to the call:
-`FamilySpec` (bound, residues, legendre) and `descend` (k) refuse a value
-that is not an int, a bool included. The symbols, `jacobi` first, run
-thousands of times per survey and stay unchecked for type.
+Hostile types are in scope where the type check is cheap next to the call.
+These refuse a value that is not an int, a bool included: `FamilySpec`'s
+bound, residues and legendre, `descend`'s k, every search height
+(`descend`, `search_points`, `run_survey`, even over an empty sweep),
+`smallest_example`'s bound, and the primes of `classify_2p`,
+`residue_profile` and the pl classifiers. `FamilySpec`'s two_p must be a
+bool. The symbols, `jacobi` first, and their kernels run thousands of
+times per survey and stay unchecked for type.
 """
 
 import json
@@ -76,6 +80,7 @@ PROBES = {
         "classify_2p(697)": "FamilyMismatch",
         "classify_2p(13)": "FamilyMismatch",
         "classify_2p(BIG)": "FamilyMismatch",
+        "classify_2p('17')": "FamilyMismatch",
     },
     "classify_11_minus": {
         "classify_11_minus(17, 97)": "answer",
@@ -87,6 +92,7 @@ PROBES = {
         "classify_11_minus(17, 89)": "FamilyMismatch",
         "classify_11_minus(3, 11)": "FamilyMismatch",
         "classify_11_minus(17, BIG)": "FamilyMismatch",
+        "classify_11_minus('17', 97)": "FamilyMismatch",
     },
     "classify_11_plus": {
         "classify_11_plus(17, 89)": "answer",
@@ -110,6 +116,8 @@ PROBES = {
         "classify_small_residues(17, 41)": "FamilyMismatch",
         "classify_small_residues(2, 3)": "FamilyMismatch",
         "classify_small_residues(3, BIG)": "FamilyMismatch",
+        "classify_small_residues('3', 11)": "FamilyMismatch",
+        "classify_small_residues('%d', 11)": "FamilyMismatch",
     },
     "residue_profile": {
         "residue_profile(17, 89)": "answer",
@@ -121,6 +129,7 @@ PROBES = {
         "residue_profile(17, 97)": "FamilyMismatch",
         "residue_profile(5, 13)": "FamilyMismatch",
         "residue_profile(17, BIG)": "FamilyMismatch",
+        "residue_profile('17', 89)": "FamilyMismatch",
     },
     "classify_auto": {
         "classify_auto(697)": "answer",
@@ -151,6 +160,8 @@ PROBES = {
         "descend(BIG, 10)": "FactorBudgetExceeded",
         "descend('5')": "PreconditionUnmet",
         "descend(5.0)": "PreconditionUnmet",
+        "descend(697, '5')": "PreconditionUnmet",
+        "descend(697, True)": "PreconditionUnmet",
     },
     "enumerate_torsors": {
         "enumerate_torsors(697, PSI)": "answer",
@@ -187,6 +198,7 @@ PROBES = {
         "search_points(Torsor(PSI, 4, -9), 10)": "answer",
         "search_points(Torsor(PSI, 17, -17), -1)": "PreconditionUnmet",
         "search_points(Torsor(PSI, BIG, -BIG), 10)": "answer",
+        "search_points(Torsor(PSI, 17, -17 * 697**2), 2.5)": "PreconditionUnmet",
     },
     "primary_associate": {
         "primary_associate(QuadInt(GAUSS, 1, 4))": "answer",
@@ -267,11 +279,16 @@ PROBES = {
         "FamilySpec('100', two_p=True)": "PreconditionUnmet",
         "FamilySpec(True, two_p=True)": "PreconditionUnmet",
         "FamilySpec(100, residues=(1, 1), legendre=1.0)": "PreconditionUnmet",
+        "FamilySpec(100, two_p='yes')": "PreconditionUnmet",
+        "FamilySpec(100, two_p=1)": "PreconditionUnmet",
     },
     "run_survey": {
         "run_survey(FamilySpec(200, residues=(1, 1)), 5)": "answer",
         "run_survey(FamilySpec(200, residues=(1, 1)), -1)": "PreconditionUnmet",
         "run_survey(FamilySpec(200, two_p=True), -5)": "PreconditionUnmet",
+        "run_survey(FamilySpec(200, residues=(1, 1)), '1')": "PreconditionUnmet",
+        "run_survey(FamilySpec(200, residues=(1, 1)), 1.5)": "PreconditionUnmet",
+        "run_survey(FamilySpec(3, two_p=True), '1')": "PreconditionUnmet",
     },
     "smallest_example": {
         "smallest_example((1, 1, 1, 1, 1), 2000)": "BudgetExceeded",
@@ -280,6 +297,7 @@ PROBES = {
         "smallest_example((1, 1, 1, 1))": "PreconditionUnmet",
         "smallest_example((1, 1, 1, 1, 1), 0)": "BudgetExceeded",
         "smallest_example((1, 1, 1, 1, 1), -1)": "BudgetExceeded",
+        "smallest_example((1, 1, -1, -1, -1), '2000')": "PreconditionUnmet",
     },
     "verify_reference": {"verify_reference()": "answer"},
 }

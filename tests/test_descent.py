@@ -75,6 +75,8 @@ def test_point_validity():
     t = Torsor(PSI, 41, -(4633**2) // 41)
     assert TorsorPoint(3936, 25, 1).on(t)
     assert not TorsorPoint(3936, 25, 2).on(t)
+    # 0^2 = 2^4 - 2^4 holds, but the point is not primitive
+    assert not TorsorPoint(0, 2, 2).on(Torsor(PSI, 1, -1))
 
 
 # --- local solvability -------------------------------------------------------

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from cndescent import criteria, descent, quadring
+from cndescent import criteria, descent, quadring, survey
 from cndescent.arith import is_prime, jacobi
 from cndescent.criteria import ALL_PROFILES, residue_profile
+from cndescent.descent import descend, witnesses_json
 from cndescent.errors import BudgetExceeded, FamilyMismatch
 from cndescent.sqclass import SquareClassGroup
 from cndescent.survey import (
@@ -124,6 +125,30 @@ def test_searched_rows_print_only_the_certificates_descend_took(monkeypatch):
     trivial = SquareClassGroup.trivial()
     assert [(r.k, r.sha_psi, r.sha_phi) for r in rows] == [(k, trivial, trivial) for k, _, _ in certs]
     assert {r.k: r.rank_upper for r in rows}[4633] == 4
+
+
+@pytest.mark.parametrize("spec, height", [
+    (FamilySpec(150, residues=(1, 1)), 60),
+    (FamilySpec(100, two_p=True), 300),
+], ids=["11-150-h60", "2p-100-h300"])
+def test_a_searched_row_is_its_descend_report(monkeypatch, spec, height):
+    rows, _ = run_survey(spec, height)
+    assert rows
+    for row in rows:
+        rep = descend(row.k, height)
+        c = rep.classification
+        assert row == (
+            c.k, c.p, c.l, c.profile, rep.rank_lower, rep.rank_upper,
+            rep.sha_psi_cert, rep.sha_phi_cert, witnesses_json(rep.witnesses),
+        )
+
+    # a searched sweep classifies nothing itself: descend classifies each k
+    def refuse(*args):
+        raise AssertionError(f"the survey classified {args}")
+
+    monkeypatch.setattr(survey, "classify_pair", refuse)
+    monkeypatch.setattr(survey, "classify_2p", refuse)
+    assert run_survey(spec, height)[0] == rows
 
 
 def test_ndjson_round_trip():

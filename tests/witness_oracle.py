@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from cndescent.arith import _quartic, factor, is_prime, jacobi, octic_minus4, quartic_symbol
-from cndescent.criteria import ResidueProfile, _distinct_1mod8_primes, _psi_cases, residue_profile
+from cndescent.criteria import ResidueProfile, _pair_class, _psi_cases, residue_profile
 from cndescent.errors import BadResidueClass, DescentError, InconsistentCriteria, PreconditionUnmet
 
 
@@ -187,7 +187,7 @@ def _check_lemma_args(
     p_pr: int, l_pr: int, x: int, y: int, z: int, w: int, eps: int
 ) -> None:
     """The hypotheses both witness lemmas share."""
-    if not _distinct_1mod8_primes(p_pr, l_pr) or jacobi(p_pr, l_pr) != 1:
+    if _pair_class(p_pr, l_pr) != 1 or jacobi(p_pr, l_pr) != 1:
         raise HypothesisViolated(
             f"need distinct primes P, L = 1 mod 8 with (P/L) = +1; "
             f"got ({p_pr}, {l_pr})"
@@ -238,7 +238,7 @@ def decompose_psi_point(p: int, l: int, point) -> CaseDecomposition:
     """Split a primitive point (N, M, e) on N^2 = p M^4 - p l^2 e^4 into its
     case: 1 or 2 by the parity of e, A or B by l | M, a or b by which of the
     two square factors p divides."""
-    if not _distinct_1mod8_primes(p, l):
+    if _pair_class(p, l) != 1:
         raise HypothesisViolated(f"need distinct primes p, l = 1 mod 8; got ({p}, {l})")
     if hasattr(point, "N"):
         n_val, m_raw, e_val = int(point.N), int(point.M), int(point.e)
