@@ -23,7 +23,9 @@ from .errors import (
     FactorBudgetExceeded,
     NonOddModulus,
     NotCoprime,
+    PreconditionUnmet,
     UndefinedSymbol,
+    is_int,
 )
 
 
@@ -132,7 +134,10 @@ def _sieve(lo: int, hi: int) -> bytearray:
 
 def primes_in(lo: int, hi: int, residue: int | None = None) -> list[int]:
     """Primes in [lo, hi), optionally only those = residue mod 8, from
-    `_sieve` over the range."""
+    `_sieve` over the range. Raises PreconditionUnmet for a bound or
+    residue that is not an int."""
+    if not (is_int(lo) and is_int(hi) and (residue is None or is_int(residue))):
+        raise PreconditionUnmet(f"primes_in needs ints, got {lo!r}, {hi!r}, {residue!r}")
     lo = max(lo, 2)
     if hi <= lo:
         return []

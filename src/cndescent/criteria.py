@@ -47,8 +47,9 @@ class ResidueProfile(NamedTuple):
 
 def _checked_profile(profile) -> ResidueProfile:
     """The profile as a ResidueProfile, if it is five signs +-1."""
-    if len(profile) != 5 or any(s not in (1, -1) for s in profile):
-        raise PreconditionUnmet(f"a profile is five signs +-1, got {profile}")
+    if not isinstance(profile, (tuple, list)) or len(profile) != 5 \
+            or any(s not in (1, -1) for s in profile):
+        raise PreconditionUnmet(f"a profile is five signs +-1, got {profile!r}")
     return ResidueProfile(*profile)
 
 
@@ -490,7 +491,10 @@ def classify_pair(p: int, l: int) -> Classification | None:
 
 
 def classify_auto(k: int) -> Classification | None:
-    """Dispatch k to whichever family classifier applies, else None."""
+    """Dispatch k to whichever family classifier applies, else None.
+    Raises PreconditionUnmet for a k that is not an int."""
+    if not is_int(k):
+        raise PreconditionUnmet(f"k must be an int, got {k!r}")
     if k < 1:
         return None  # not positive: no criteria apply, nothing to factor
     f = factor(k)

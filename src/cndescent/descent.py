@@ -71,7 +71,7 @@ def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
     signs = [-1] if side == PSI else []
     classes = {1}
     _extend(classes, signs + [q for q, _ in factor(const).factors], mul)
-    return {b1: Torsor(side, b1, const // b1) for b1 in SquareClassGroup(frozenset(classes))}
+    return {b1: Torsor(side, b1, const // b1) for b1 in SquareClassGroup(classes)}
 
 
 # --- local solvability ----------------------------------------------------
@@ -154,10 +154,10 @@ def locally_solvable(b1: int, b2: int) -> bool:
     the point lifts. b1 b2 is the side's torsor constant for every torsor
     of a side, so the memoized `factor` factors it once per side, not
     once per call. Raises BadResidueClass when b1 or b2 is 0, as
-    solvable_at does.
+    solvable_at does, or not an int.
     """
-    if b1 == 0 or b2 == 0:
-        raise BadResidueClass(f"locally_solvable needs nonzero b1, b2, got {b1}, {b2}")
+    if not (is_int(b1) and is_int(b2)) or b1 == 0 or b2 == 0:
+        raise BadResidueClass(f"locally_solvable needs nonzero int b1, b2, got {b1!r}, {b2!r}")
     if b1 < 0 and b2 < 0:
         return False
     qs = {2} | {q for q, _ in factor(b1 * b2).factors}
@@ -303,11 +303,12 @@ def search_points(
     bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9) and the
     tuples of _tiles, keyed the same way.
 
-    Raises PreconditionUnmet for a zero b1 or b2 or a height not an int >= 0.
+    Raises PreconditionUnmet for a b1 or b2 that is zero or not an int, or a
+    height not an int >= 0.
     """
     b1, b2 = torsor.b1, torsor.b2
-    if b1 == 0 or b2 == 0:
-        raise PreconditionUnmet(f"torsor coefficients must be nonzero, got {b1}, {b2}")
+    if not (is_int(b1) and is_int(b2)) or b1 == 0 or b2 == 0:
+        raise PreconditionUnmet(f"torsor coefficients must be nonzero ints, got {b1!r}, {b2!r}")
     check_height(height)
     found: list[TorsorPoint] = []
     if b1 < 0 and b2 < 0:
@@ -457,7 +458,7 @@ def _contradiction(cls: Classification, selmer: dict, torsion: dict) -> str | No
     for side, cert in ((PSI, cls.sha_psi), (PHI, cls.sha_phi)):
         if not cert <= selmer[side]:
             return f"{side} certificate {cert.describe()} is not inside the Selmer group"
-        if cert.elements & torsion[side].keys() != {1}:
+        if cert & torsion[side].keys() != {1}:
             return f"{side} certificate {cert.describe()} has a torsion class"
     if not cls.w_phi <= selmer[PHI]:
         return f"phi W bound {cls.w_phi.describe()} is not inside the Selmer group"
@@ -481,7 +482,7 @@ def descend(k: int, height: int = 1000) -> DescentReport:
     selmer = {s: selmer_group(k, s) for s in (PSI, PHI)}
     witnesses = {s: _free_classes(k, s) for s in (PSI, PHI)}
     for side, torsion in witnesses.items():
-        if not torsion.keys() <= selmer[side].elements:
+        if not torsion.keys() <= selmer[side]:
             raise InconsistentCriteria(f"torsion class missing from the {side} Selmer group")
 
     cls = classify_auto(k)
@@ -508,7 +509,7 @@ def descend(k: int, height: int = 1000) -> DescentReport:
                 witnesses[side][b1] = pts[0]
                 _extend(w, [b1], squarefree_mul)
                 _extend(ws, [b1], squarefree_mul)
-        w_found[side] = SquareClassGroup(frozenset(w))
+        w_found[side] = SquareClassGroup(w)
 
     rank_lower = max(0, w_found[PSI].dim + w_found[PHI].dim - 2)
     rank_upper, sha2 = selmer_rank_bound(

@@ -1,8 +1,8 @@
 """The base of the records that must not act as tuples.
 
-Most of the package's records are `typing.NamedTuple`s. The three whose
-tuple behaviour would be wrong (a group that iterates over its classes, a
-ring element that multiplies, a spec that validates) derive from `Record`
+Most of the package's records are `typing.NamedTuple`s. The two whose
+tuple behaviour would be wrong (a ring element that multiplies, a spec
+that validates) derive from `Record`
 instead: its fields are its `__slots__`, in order, set once by its
 `__init__` through `_set` (or `object.__setattr__`, which skips `_set`'s
 loop). Equality, hashing, the `Name(field=value, ...)` repr and pickling

@@ -8,8 +8,7 @@ from math import gcd
 from operator import itemgetter, xor
 
 from .arith import factor
-from .errors import NotAGroup, PreconditionUnmet
-from .record import Record
+from .errors import NotAGroup, PreconditionUnmet, is_int
 
 
 def squarefree_mul(a: int, b: int) -> int:
@@ -34,37 +33,35 @@ def _extend(group: set, candidates, mul) -> list:
     return basis
 
 
-class SquareClassGroup(Record):
-    """A finite subgroup of Q*/Q*^2 as a frozenset of squarefree ints.
+class SquareClassGroup(frozenset):
+    """A finite subgroup of Q*/Q*^2: a frozenset of squarefree ints.
 
     Always contains 1. Construct with `span` (closure of generators) or
-    `from_elements` (verifies closure, raises NotAGroup otherwise).
+    `from_elements` (verifies closure, raises NotAGroup otherwise). The set
+    algebra is frozenset's: a group equals and hashes as the plain frozenset
+    of its classes, and `&` and `|` return plain frozensets. Only iteration
+    at the Python level is ordered.
     """
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: frozenset[int]):
-        object.__setattr__(self, "elements", elements)  # built on every span
+    __slots__ = ()
 
     @staticmethod
     def span(*generators: int) -> "SquareClassGroup":
-        if 0 in generators:
-            raise PreconditionUnmet("0 is not a square class")
         for g in generators:
-            if factor(g).squarefree_part() != g:
-                raise PreconditionUnmet(f"{g} is not squarefree")
+            if not is_int(g) or g == 0 or factor(g).squarefree_part() != g:
+                raise PreconditionUnmet(f"{g!r} is not a nonzero squarefree int")
         group = {1}
         _extend(group, generators, squarefree_mul)
-        return SquareClassGroup(frozenset(group))
+        return SquareClassGroup(group)
 
     @staticmethod
     def from_elements(elements) -> "SquareClassGroup":
         """The group of the given classes, 1 added. The elements must be
-        nonzero squarefree ints; unlike `span`, this checks only nonzero, as
-        checking squarefree would factor every Selmer class."""
+        nonzero squarefree ints; unlike `span`, this checks only nonzero
+        ints, as checking squarefree would factor every Selmer class."""
         elems = frozenset(elements) | {1}
-        if 0 in elems:
-            raise PreconditionUnmet("0 is not a square class")
+        if 0 in elems or not all(map(is_int, elems)):
+            raise PreconditionUnmet(f"square classes are nonzero ints, got {elems!r}")
 
         def mul(a: int, b: int) -> int:
             c = squarefree_mul(a, b)
@@ -82,38 +79,29 @@ class SquareClassGroup(Record):
     def trivial() -> "SquareClassGroup":
         return _TRIVIAL
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
     def __iter__(self):
-        """Classes by (|x|, x < 0); the JSON outputs list groups in this
-        order. Two C-level sorts give it: x descending puts x before -x,
-        and the stable sort by |x| keeps that."""
-        return iter(sorted(sorted(self.elements, reverse=True), key=abs))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __le__(self, other: "SquareClassGroup") -> bool:
-        return self.elements <= other.elements
+        """Classes by (|x|, x < 0); the JSON outputs and the repr list groups
+        in this order. Two C-level sorts give it: x descending puts x before
+        -x, and the stable sort by |x| keeps that. The classes come from
+        frozenset's own iterator, as `sorted(self)` would call this one."""
+        return iter(sorted(sorted(frozenset.__iter__(self), reverse=True), key=abs))
 
     @property
     def dim(self) -> int:
         """F_2-dimension; the order is always a power of two."""
-        n = len(self.elements)
-        return n.bit_length() - 1
+        return len(self).bit_length() - 1
 
     def generators(self) -> tuple[int, ...]:
         """Canonical minimal generating set: greedy by (|x|, sign)."""
         return tuple(_extend({1}, self, squarefree_mul))
 
     def describe(self) -> str:
-        if len(self.elements) == 1:
+        if len(self) == 1:
             return "1"
         return "<" + ", ".join(str(g) for g in self.generators()) + ">"
 
 
-_TRIVIAL = SquareClassGroup(frozenset({1}))  # shared: the group is immutable
+_TRIVIAL = SquareClassGroup({1})  # shared: the group is immutable
 
 
 # --- the label group over (2, p, l) -------------------------------------------
@@ -163,7 +151,7 @@ def concretize(p: int, l: int, *label_sets) -> tuple[SquareClassGroup, ...]:
         plan = _plan(label_sets)
     except TypeError:  # a label set that is not hashable, a list say
         plan = _plan(tuple(map(frozenset, label_sets)))
-    return tuple([_TRIVIAL if pick is None else SquareClassGroup(frozenset(pick(values)))
+    return tuple([_TRIVIAL if pick is None else SquareClassGroup(pick(values))
                   for pick in plan])
 
 

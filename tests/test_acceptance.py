@@ -82,7 +82,7 @@ def test_grid_classification_columns_and_census():
         assert cls.sha_psi == sha_psi, row
         # the printed complement generators are one valid choice among
         # several; check they certify the same obstruction space
-        assert comp.elements & cls.w_phi.elements == {1}, row
+        assert comp & cls.w_phi == {1}, row
         assert len(comp) * len(cls.w_phi) == 8, row
         assert cls.sha_phi.dim == len(row.sha_phi), row
 

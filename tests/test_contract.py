@@ -10,11 +10,14 @@ budgets, so every probe keeps them small.
 
 Hostile types are in scope where the type check is cheap next to the call.
 These refuse a value that is not an int, a bool included: `FamilySpec`'s
-bound, residues and legendre, `descend`'s k, every search height
-(`descend`, `search_points`, `run_survey`, even over an empty sweep),
-`smallest_example`'s bound, and the primes of `classify_2p`,
-`residue_profile` and the pl classifiers. `FamilySpec`'s two_p must be a
-bool. The symbols, `jacobi` first, and their kernels run thousands of
+bound, residues and legendre, the k of `descend` and `classify_auto`,
+every search height (`descend`, `search_points`, `run_survey`, even over
+an empty sweep), the torsor coefficients of `search_points` and
+`locally_solvable`, `smallest_example`'s bound, the bounds and residue of
+`primes_in`, the classes of the `SquareClassGroup` constructors, and the
+primes of `classify_2p`, `residue_profile` and the pl classifiers.
+`FamilySpec`'s two_p must be a bool, and a profile must be a tuple or a
+list. The symbols, `jacobi` first, and their kernels run thousands of
 times per survey and stay unchecked for type.
 """
 
@@ -55,6 +58,9 @@ PROBES = {
         "primes_in(-50, 10)": "answer",
         "primes_in(10, -1)": "answer",
         "primes_in(0, 100, -1)": "answer",
+        "primes_in('1', 10)": "PreconditionUnmet",
+        "primes_in(1, 10.5)": "PreconditionUnmet",
+        "primes_in(0, 10, residue='1')": "PreconditionUnmet",
     },
     "quartic_symbol": {
         "quartic_symbol(2, 17)": "answer",
@@ -141,6 +147,8 @@ PROBES = {
         "classify_auto(18)": "answer",
         "classify_auto(17 * 41 * 89)": "answer",
         "classify_auto(BIG)": "FactorBudgetExceeded",
+        "classify_auto('697')": "PreconditionUnmet",
+        "classify_auto(697.0)": "PreconditionUnmet",
     },
     "classify_profile": {
         "classify_profile((1, 1, 1, 1, 1))": "answer",
@@ -148,6 +156,7 @@ PROBES = {
         "classify_profile((2, 1, 1, 1, 1))": "PreconditionUnmet",
         "classify_profile((1, 1, 1, 1, -2))": "PreconditionUnmet",
         "classify_profile((1, 1, 1))": "PreconditionUnmet",
+        "classify_profile(5)": "PreconditionUnmet",
     },
     "descend": {
         "descend(697, 10)": "answer",
@@ -189,6 +198,8 @@ PROBES = {
         "locally_solvable(1, -1)": "answer",
         "locally_solvable(4, -9)": "answer",
         "locally_solvable(BIG, -1)": "FactorBudgetExceeded",
+        "locally_solvable('1', 2)": "BadResidueClass",
+        "locally_solvable(1.5, 2)": "BadResidueClass",
     },
     "search_points": {
         "search_points(Torsor(PSI, 17, -17 * 697**2), 10)": "answer",
@@ -199,6 +210,8 @@ PROBES = {
         "search_points(Torsor(PSI, 17, -17), -1)": "PreconditionUnmet",
         "search_points(Torsor(PSI, BIG, -BIG), 10)": "answer",
         "search_points(Torsor(PSI, 17, -17 * 697**2), 2.5)": "PreconditionUnmet",
+        "search_points(Torsor(PSI, 1.5, -2), 10)": "PreconditionUnmet",
+        "search_points(Torsor(PSI, '1', -2), 10)": "PreconditionUnmet",
     },
     "primary_associate": {
         "primary_associate(QuadInt(GAUSS, 1, 4))": "answer",
@@ -256,6 +269,11 @@ PROBES = {
         "SquareClassGroup.from_elements([2, 3])": "NotAGroup",
         "SquareClassGroup.from_elements([-1])": "answer",
         "SquareClassGroup.from_elements([0])": "PreconditionUnmet",
+        "SquareClassGroup.span('2')": "PreconditionUnmet",
+        "SquareClassGroup.span(2.0)": "PreconditionUnmet",
+        "SquareClassGroup.span(True)": "PreconditionUnmet",
+        "SquareClassGroup.from_elements(['a'])": "PreconditionUnmet",
+        "SquareClassGroup.from_elements([1.5])": "PreconditionUnmet",
     },
     "FamilySpec": {
         "FamilySpec(100, residues=(1, 1))": "answer",
@@ -298,6 +316,7 @@ PROBES = {
         "smallest_example((1, 1, 1, 1, 1), 0)": "BudgetExceeded",
         "smallest_example((1, 1, 1, 1, 1), -1)": "BudgetExceeded",
         "smallest_example((1, 1, -1, -1, -1), '2000')": "PreconditionUnmet",
+        "smallest_example(5)": "PreconditionUnmet",
     },
     "verify_reference": {"verify_reference()": "answer"},
 }

@@ -506,7 +506,7 @@ def test_selmer_agreement_with_descent_module(family, inputs):
         sel_phi, w_phi, sha_phi = cls.selmer_phi, cls.w_phi, cls.sha_phi
         assert cls.sha_psi <= cls.selmer_psi, (family, tup)
         assert w_phi <= sel_phi and sha_phi <= sel_phi, (family, tup)
-        assert w_phi.elements & sha_phi.elements == {1}, (family, tup)
+        assert w_phi & sha_phi == {1}, (family, tup)
         assert len(w_phi) * len(sha_phi) == len(sel_phi), (family, tup)
 
 

@@ -1,7 +1,8 @@
 """Record semantics: every public record compares and hashes by its fields,
 refuses assignment, prints as `Name(field=value, ...)` and pickles. The
 reprs are pinned from the records' dataclass forms, so replacing
-`dataclasses` changed none of them."""
+`dataclasses` changed none of them; a group is a frozenset and prints as
+one, its classes in group order."""
 
 import pickle
 
@@ -24,7 +25,7 @@ from cndescent.survey import (
 
 
 def _group():
-    return SquareClassGroup(frozenset({1, 17}))
+    return SquareClassGroup({1, 17})
 
 
 def _report():
@@ -47,7 +48,7 @@ RECORDS = {
     ),
     "Ring": (lambda: Ring("Z[i]", -1), "Z[i]"),
     "QuadInt": (lambda: QuadInt(GAUSS, 1, 4), "QuadInt(ring=Z[i], a=1, b=4)"),
-    "SquareClassGroup": (_group, "SquareClassGroup(elements=frozenset({1, 17}))"),
+    "SquareClassGroup": (_group, "SquareClassGroup({1, 17})"),
     "ResidueProfile": (
         lambda: ResidueProfile(1, -1, 1, -1, 1),
         "ResidueProfile(pi=1, a=-1, b=1, c=-1, d=1)",
@@ -61,11 +62,11 @@ RECORDS = {
     "Classification": (
         lambda: Classification("2p", 17, None, _group(), _group(), notes=("n",)),
         "Classification(family='2p', p=17, l=None, "
-        "selmer_psi=SquareClassGroup(elements=frozenset({1, 17})), "
-        "selmer_phi=SquareClassGroup(elements=frozenset({1, 17})), "
-        "sha_psi=SquareClassGroup(elements=frozenset({1})), "
-        "sha_phi=SquareClassGroup(elements=frozenset({1})), "
-        "w_phi=SquareClassGroup(elements=frozenset({1})), profile=None, notes=('n',))",
+        "selmer_psi=SquareClassGroup({1, 17}), "
+        "selmer_phi=SquareClassGroup({1, 17}), "
+        "sha_psi=SquareClassGroup({1}), "
+        "sha_phi=SquareClassGroup({1}), "
+        "w_phi=SquareClassGroup({1}), profile=None, notes=('n',))",
     ),
     "Torsor": (lambda: Torsor("psi", 17, -289), "Torsor(side='psi', b1=17, b2=-289)"),
     "TorsorPoint": (lambda: TorsorPoint(1, 1, 0), "TorsorPoint(N=1, M=1, e=0)"),
@@ -73,7 +74,7 @@ RECORDS = {
         _report,
         "DescentReport(k=34, "
         + "".join(
-            f"{f}=SquareClassGroup(elements=frozenset({{1, 17}})), "
+            f"{f}=SquareClassGroup({{1, 17}}), "
             for f in ("selmer_psi", "selmer_phi", "w_psi", "w_phi", "sha_psi_cert", "sha_phi_cert")
         )
         + "rank_lower=2, rank_upper=2, sha2_dim=None, noncongruent=False, height=50, "
@@ -87,8 +88,8 @@ RECORDS = {
     "SurveyRow": (
         lambda: _row({"phi": {"17": [17, 2, 1]}}),
         "SurveyRow(k=34, p=17, l=None, profile=None, rank_lower=2, rank_upper=2, "
-        "sha_psi=SquareClassGroup(elements=frozenset({1, 17})), "
-        "sha_phi=SquareClassGroup(elements=frozenset({1, 17})), "
+        "sha_psi=SquareClassGroup({1, 17}), "
+        "sha_phi=SquareClassGroup({1, 17}), "
         "witnesses={'phi': {'17': [17, 2, 1]}})",
     ),
     "SurveySummary": (
@@ -126,7 +127,8 @@ def test_equal_fields_give_equal_records(name):
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_refuse_assignment(name):
     record = RECORDS[name][0]()
-    field = getattr(record, "_fields", record.__slots__)[0]
+    # a group has no named field: its one property stands in for one
+    field = (getattr(record, "_fields", record.__slots__) or ("dim",))[0]
     before = repr(record)
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
@@ -160,13 +162,14 @@ def test_survey_row_equality_includes_witnesses():
 
 
 def test_only_records_that_must_not_act_as_tuples_derive_from_record():
-    # a group iterates over its classes, a ring element multiplies and a
-    # spec validates; every other record is a NamedTuple
-    assert set(Record.__subclasses__()) == {SquareClassGroup, QuadInt, FamilySpec}
+    # a ring element multiplies and a spec validates; a group is a
+    # frozenset, and every other record is a NamedTuple
+    assert set(Record.__subclasses__()) == {QuadInt, FamilySpec}
 
 
 def test_records_differ_by_class_and_by_field():
-    # a Record equals only its own class, as a dataclass does
+    # a Record equals only its own class, as a dataclass does; a group is
+    # a frozenset, so it equals its set of classes
     assert QuadInt(GAUSS, 1, 4) != (GAUSS, 1, 4)
-    assert _group() != frozenset({1, 17})
+    assert _group() == frozenset({1, 17})
     assert FamilySpec(100, two_p=True) != FamilySpec(101, two_p=True)

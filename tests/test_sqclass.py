@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -44,12 +45,12 @@ def _accepts(elements) -> bool:
         group = SquareClassGroup.from_elements(elements)
     except NotAGroup:
         return False
-    assert group.elements == frozenset(elements) | {1}
+    assert group == frozenset(elements) | {1}
     return True
 
 
 def test_from_elements_matches_pairwise_check():
-    universe = SquareClassGroup.span(-1, 2, 17).elements
+    universe = SquareClassGroup.span(-1, 2, 17)
     for n in range(len(universe) + 1):
         for sub in itertools.combinations(sorted(universe), n):
             assert _accepts(sub) == _pairwise_from_elements(sub), sub
@@ -58,7 +59,7 @@ def test_from_elements_matches_pairwise_check():
     accepted = 0
     for _ in range(500):
         group = SquareClassGroup.span(*rng.sample(primes, rng.randrange(5)))
-        elems = set(group.elements)
+        elems = set(group)
         # drop, add or keep a few classes, and sometimes the identity
         for x in rng.sample(sorted(elems), min(len(elems), rng.randrange(3))):
             elems.discard(x)
@@ -68,6 +69,32 @@ def test_from_elements_matches_pairwise_check():
         assert ok == _pairwise_from_elements(elems), sorted(elems)
         accepted += ok
     assert 0 < accepted < 500
+
+
+def test_a_group_is_a_frozenset_of_its_classes():
+    g = SquareClassGroup.span(-1, 2, 17)
+    h = SquareClassGroup.span(17, 89)
+    plain = frozenset(frozenset.__iter__(g))
+    assert isinstance(g, frozenset)
+    assert g == plain and plain == g and hash(g) == hash(plain)
+    # the set algebra is frozenset's: meet and join are plain sets
+    assert type(g & h) is frozenset and g & h == {1, 17}
+    assert type(g | h) is frozenset and g | h == plain.union(h) and len(g | h) == 10
+    assert all((x in g) == (x in plain) for x in (1, -1, -34, 89, 0, "1"))
+    assert len(g) == len(plain) == 8
+    assert SquareClassGroup.span(17) <= g and not h <= g
+    # iteration at the Python level keeps the (|x|, x < 0) order
+    order = [1, -1, 2, -2, 17, -17, 34, -34]
+    assert list(g) == order and tuple(g) == tuple(order)
+    back = pickle.loads(pickle.dumps(g))
+    assert type(back) is SquareClassGroup and back == g and list(back) == order
+    assert repr(g) == f"SquareClassGroup({{{', '.join(map(str, order))}}})"
+    for name in ("dim", "elements", "x"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert list(g) == order
 
 
 def test_generators_regenerate():
@@ -108,7 +135,7 @@ def test_span_matches_pairwise_closure():
         for _ in range(rng.randrange(6)):
             chosen = rng.sample(primes, rng.randrange(1, 4))
             gens.append(rng.choice((1, -1)) * math.prod(chosen))
-        assert SquareClassGroup.span(*gens).elements == _pairwise_closure(gens), gens
+        assert SquareClassGroup.span(*gens) == _pairwise_closure(gens), gens
 
 
 def test_label_span_then_concretize_matches_span():
@@ -143,7 +170,7 @@ def test_concretize_matches_span_on_every_label_subset():
 
 def test_iteration_order_is_abs_then_positive_first():
     def want(group):
-        return sorted(group.elements, key=lambda v: (abs(v), v < 0))
+        return sorted(group, key=lambda v: (abs(v), v < 0))
 
     labels = ("-1", "1", "2", "p", "2p", "l", "2l", "pl", "2pl")
     subs = [sub for n in range(len(labels) + 1) for sub in itertools.combinations(labels, n)]
