@@ -221,7 +221,6 @@ class ProfileClassification(NamedTuple):
         return 4 - self.sha_psi_dim - self.sha_phi_dim
 
 
-@cache
 def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     """Pure sign logic: W candidates, certified Sha groups, rank bound.
 
@@ -229,10 +228,18 @@ def classify_profile(profile: ResidueProfile) -> ProfileClassification:
     <-1, pl> always have points, and T(p) has none when every psi case
     fails. The phi complement extends a basis of W in the fixed class order.
 
-    Cached: there are only 32 profiles. The result's `profile` is always a
-    ResidueProfile, since an equal plain tuple shares the cache entry.
+    Cached: there are only 32 profiles. A tuple or list of five signs is
+    made a ResidueProfile before the cache, so the result's `profile` is
+    always one and a list needs no hash.
     """
-    profile = _checked_profile(profile)
+    if not isinstance(profile, ResidueProfile):
+        profile = _checked_profile(profile)
+    return _classify_profile(profile)
+
+
+@cache
+def _classify_profile(profile: ResidueProfile) -> ProfileClassification:
+    profile = _checked_profile(profile)  # a ResidueProfile's signs, once each
     passing = phi_pass_classes(profile)
     w = label_span(passing)
     if not (passing | {"1"}) == w:

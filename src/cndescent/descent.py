@@ -15,9 +15,11 @@ partner curve the same way.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import cache
 from math import gcd, isqrt
 from operator import mul
+from threading import Lock
 from typing import NamedTuple
 
 from .arith import _legendre, factor
@@ -246,18 +248,66 @@ def _tiles(q: int, a: int, d: int) -> tuple[bytes, ...]:
     return tuple(_square_pattern(q, a, d * f % q) for f, _ in _residues(q)[1])
 
 
-def _rows(q: int, b1: int, b2: int, nb: int, e: int | None = None) -> bytes:
-    """Rows of nb bytes whose row e has bit M set when b1 M^4 + b2 e^4 is a
-    square mod q: the single row e, or, with e None, the rows of one period
-    of e^4 mod q, e = 0 .. p - 1, joined."""
+def _row(q: int, b1: int, b2: int, nb: int, e: int) -> bytes:
+    """Row e of nb bytes: bit M set when b1 M^4 + b2 e^4 is a square mod q."""
     a, s = _unit_scale(q, b1 % q)
-    tiles = _tiles(q, a, b2 * s % q)
     which = _residues(q)[2]
+    tile = _tiles(q, a, b2 * s % q)[which[e % len(which)]]
+    return (tile * (nb // len(tile) + 1))[:nb]
+
+
+class _Periods(OrderedDict):
+    """The periods of _period, shared by every search_points call, least
+    recently used first. nbytes charges each its bytes plus _ENTRY_BYTES;
+    entries leave from the old end while nbytes exceeds _PERIOD_BUDGET.
+    Insertions and removals hold the lock, so nbytes stays their sum."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nbytes = 0
+        self.lock = Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.nbytes = 0
+
+
+_PERIOD_BUDGET = 2 << 20
+_ENTRY_BYTES = 256  # an entry's key, bytes header and dict and list nodes
+_PERIODS = _Periods()
+
+
+def _period(q: int, b1: int, b2: int, nb: int, rows: int) -> bytes:
+    """The rows e = 0 .. p + rows - 2 of nb bytes, row e with bit M set
+    when b1 M^4 + b2 e^4 is a square mod q: one period of e^4 mod q,
+    e < p, repeated, so a window of up to `rows` rows from any e0 < p is
+    one slice. Kept in _PERIODS under all its bytes depend on: q, the
+    _unit_scale pair (a, d) of (b1, b2) mod q, nb and rows."""
+    a, s = _unit_scale(q, b1 % q)
+    d = b2 * s % q
+    key = q, a, d, nb, rows
+    period = _PERIODS.get(key)
+    if period is not None:
+        try:  # another thread may have evicted it since the get
+            _PERIODS.move_to_end(key)
+        except KeyError:
+            pass
+        return period
+    tiles = _tiles(q, a, d)
+    which = _residues(q)[2]
+    p = len(which)
     copies = nb // len(tiles[0]) + 1  # tiles to cover nb bytes
-    if e is not None:
-        return (tiles[which[e % len(which)]] * copies)[:nb]
-    rows = [(tile * copies)[:nb] for tile in tiles]
-    return b"".join(map(rows.__getitem__, which))
+    one = [(tile * copies)[:nb] for tile in tiles]
+    period = b"".join(map(one.__getitem__, which)) * ((p + rows - 2) // p + 1)
+    period = period[: (p + rows - 1) * nb]
+    with _PERIODS.lock:
+        if key not in _PERIODS:
+            _PERIODS[key] = period
+            _PERIODS.nbytes += len(period) + _ENTRY_BYTES
+        while _PERIODS.nbytes > _PERIOD_BUDGET:
+            _PERIODS.nbytes -= len(_PERIODS.popitem(last=False)[1]) + _ENTRY_BYTES
+    return period
 
 
 def search_points(
@@ -280,28 +330,34 @@ def search_points(
     to _BLOCK_BYTES = 2 KB, or one row if a row is wider (height 8,192 and
     up); a block takes all the e left, up to that size, when fewer than
     twice its rows are left. A row depends on e only through e mod p, the
-    period of e^4 mod q, so every window of several rows is cut from q's
-    rows e = 0 .. p - 1, joined once per call and repeated, and is cached
-    per call on e0 mod p while the block size holds; a one-row window is
-    its row alone, cached on e^4 mod q, as a per-e sieve caches its rows.
-    A block smaller than the largest is the only one of its size, so no
-    other block uses its windows: once it has 32 candidates or fewer, it
-    tests them rather than build more windows, and a point found early
-    builds few rows.
+    period of e^4 mod q, so every window of several rows is one slice of
+    q's _period: its rows e = 0 .. p - 1 repeated to p + R - 1 rows, for
+    the largest block size R of the call. The periods are shared by all
+    calls, keyed by q, the _unit_scale pair (a, d) of (b1, b2) mod q, nb
+    and R, and each window is cached per call on e0 mod p while the block
+    size holds; a one-row window is its row alone, cached on e^4 mod q,
+    as a per-e sieve caches its rows. A block smaller than the largest is
+    the only one of its size, so no other block uses its windows: once it
+    has 32 candidates or fewer, it tests them rather than build more
+    windows, and a point found early builds few rows.
 
     Order: e ascending, then M ascending, the order of a plain scan, so
     stop_at_first returns the first point of that order.
 
     Memory per call, with B = max(2048, nb) bytes: at most p windows of at
-    most B bytes and p rows of nb bytes per q, 348 of each in all; counting
-    the int overhead and the block in hand, under 400 B + 400 nb bytes,
-    0.92 MB at height 2000. One-row blocks join no period and key their
-    windows on the 144 fourth powers, so from height 8,192 on a call holds
-    at most 144 rows of nb bytes: 0.2 MB at height 10^4 and 1.9 MB at
-    10^5. Across calls only small tables that do not depend on the height
-    are cached: the tiles of _square_pattern (at most 3q of at most q
-    bytes for an odd prime q, q^2 of at most 9 bytes for 64 and 9) and the
-    tuples of _tiles, keyed the same way.
+    most B bytes per q, 348 in all, and the call's 15 periods, 348 rows
+    of nb bytes and fewer than 15 B more; counting the int overhead and
+    the block in hand, under 400 B + 400 nb bytes, 0.92 MB at height 2000.
+    One-row blocks use no period and key their windows on the 144 fourth
+    powers, so from height 8,192 on a call holds at most 144 rows of nb
+    bytes: 0.2 MB at height 10^4 and 1.9 MB at 10^5. Across calls two
+    kinds of table are cached. The tiles of _square_pattern (at most 3q
+    of at most q bytes for an odd prime q, q^2 of at most 9 bytes for 64
+    and 9) and the tuples of _tiles, keyed the same way, do not depend on
+    the height. The periods do: one holds (p + R - 1) nb bytes, 3,224
+    for q = 47 at height 200 and at most 49,152 (q = 47, height 8,191).
+    They sit in one LRU whose bytes, with 256 more charged per entry for
+    its key and nodes, stay within _PERIOD_BUDGET = 2 MiB.
 
     Raises PreconditionUnmet for a b1 or b2 that is zero or not an int, or a
     height not an int >= 0.
@@ -321,7 +377,7 @@ def search_points(
         e_end = min(height, isqrt(isqrt((b1 * n_bits**4 - 1) // -b2)))
     max_rows = max(1, _BLOCK_BYTES // nb)
     rows = 0  # the block size
-    periods: dict[int, bytes] = {}  # q -> its rows e < p
+    periods: dict[int, bytes] = {}  # q -> its _period
     span = start = None  # the last block's M range and size, and its rows
     e0 = 0
     while e0 <= e_end:
@@ -352,12 +408,11 @@ def search_points(
                 if rows < max_rows and block.bit_count() <= _FEW:
                     break
                 if rows == 1:
-                    window = int.from_bytes(_rows(q, b1, b2, nb, e0), "little")
-                else:  # cut from q's period, repeated
+                    window = int.from_bytes(_row(q, b1, b2, nb, e0), "little")
+                else:  # one slice of q's period
                     if q not in periods:
-                        periods[q] = _rows(q, b1, b2, nb)
-                    ext = periods[q] * ((r0 + rows - 1) // p + 1)
-                    window = int.from_bytes(ext[r0 * nb : (r0 + rows) * nb], "little")
+                        periods[q] = _period(q, b1, b2, nb, max_rows)
+                    window = int.from_bytes(periods[q][r0 * nb : (r0 + rows) * nb], "little")
                 windows[slot] = window
             block &= window
             if not block:

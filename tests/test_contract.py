@@ -152,6 +152,8 @@ PROBES = {
     },
     "classify_profile": {
         "classify_profile((1, 1, 1, 1, 1))": "answer",
+        "classify_profile([1, 1, 1, 1, 1])": "answer",
+        "classify_profile([1, 1, 1, 1])": "PreconditionUnmet",
         "classify_profile((0, 0, 0, 0, 0))": "PreconditionUnmet",
         "classify_profile((2, 1, 1, 1, 1))": "PreconditionUnmet",
         "classify_profile((1, 1, 1, 1, -2))": "PreconditionUnmet",

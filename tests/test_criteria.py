@@ -292,15 +292,17 @@ SPOT_ROWS = {
 
 
 def test_classify_profile_cache_matches_a_fresh_computation():
-    classify_profile.cache_clear()
-    # a plain tuple first: its entry must still hold a ResidueProfile
+    cached = criteria._classify_profile
+    cached.cache_clear()
+    # a plain tuple or list first: its entry must still hold a ResidueProfile
     assert type(classify_profile(tuple(ALL_PROFILES[7])).profile) is ResidueProfile
+    assert type(classify_profile(list(ALL_PROFILES[8])).profile) is ResidueProfile
     for profile in ALL_PROFILES:
-        pc = classify_profile(profile)
-        assert pc == classify_profile.__wrapped__(profile), profile
+        pc = cached.__wrapped__(profile)
+        assert classify_profile(profile) == pc, profile
         assert type(pc.profile) is ResidueProfile
-        assert classify_profile(profile) is pc
-    assert classify_profile.cache_info().currsize == 32
+        assert classify_profile(profile) is classify_profile(list(profile))
+    assert cached.cache_info().currsize == 32
 
 
 def test_grid_spot_rows():

@@ -1,8 +1,10 @@
 """Local solvability, Selmer groups, point search, and the full descent."""
 
+import json
 import os
 import subprocess
 import sys
+import threading
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -403,34 +405,116 @@ def test_search_matches_reference_on_selmer_torsors():
 _BLOCK_EDGE_KS = (38, 61, 69, 77, 94, 137, 226, 230, 238, 257, 287)
 
 
-@pytest.mark.parametrize("budget", [1, 24, 100, descent._BLOCK_BYTES])
+_BUDGETS = (1, 24, 100, descent._BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
 def test_search_matches_reference_across_block_edges(monkeypatch, budget):
     """Heights whose last e falls on either side of a block edge: blocks
     grow 4-fold from 2 rows, so the first ones end below e = 2, 10 and 42,
     and a last block takes the rest or is cut short. The small budgets cap
-    a block at a few rows, so later blocks start at every e0 mod q."""
-    monkeypatch.setattr(descent, "_BLOCK_BYTES", budget)
-    n_points = 0
+    a block at a few rows, so later blocks start at every e0 mod q. The
+    shared periods are first filled at each budget, smallest first: a
+    period kept without its row count would be too short for a larger
+    block."""
+    torsors = []
     for k in _BLOCK_EDGE_KS:
         for side in (PSI, PHI):
             const = _torsor_constant(k, side)
-            for b1 in selmer_group(k, side):
-                t = Torsor(side, b1, const // b1)
-                every = reference_search_points(t, 120)
-                for height in (1, 2, 3, 7, 8, 9, 10, 11, 23, 24, 41, 42, 43, 56, 120):
-                    expected = [pt for pt in every if max(pt.M, pt.e) <= height]
-                    assert search_points(t, height) == expected, (t, height)
-                    assert search_points(t, height, stop_at_first=True) == expected[:1]
-                n_points += len(every)
+            torsors += [Torsor(side, b1, const // b1) for b1 in selmer_group(k, side)]
+    descent._PERIODS.clear()
+    for warm in _BUDGETS:
+        monkeypatch.setattr(descent, "_BLOCK_BYTES", warm)
+        for t in torsors:
+            search_points(t, 56)
+            search_points(t, 120)
+    monkeypatch.setattr(descent, "_BLOCK_BYTES", budget)
+    n_points = 0
+    for t in torsors:
+        every = reference_search_points(t, 120)
+        for height in (1, 2, 3, 7, 8, 9, 10, 11, 23, 24, 41, 42, 43, 56, 120):
+            expected = [pt for pt in every if max(pt.M, pt.e) <= height]
+            assert search_points(t, height) == expected, (t, height)
+            assert search_points(t, height, stop_at_first=True) == expected[:1]
+        n_points += len(every)
     assert n_points >= 50
+
+
+def _reference_search_calls() -> list[tuple[Torsor, int]]:
+    """Every (torsor, height) that descend searches on the classify and
+    search populations of perfbench/reference.json, in call order."""
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    heights = ref["generated_with"]
+    ks = [(k, heights["classify_height"]) for k in ref["classify"]["order"]]
+    ks += [(p * l, heights["search_height"]) for p, l in ref["search"]["order"]]
+    calls = []
+
+    def record(torsor, height, stop_at_first=False):
+        calls.append((torsor, height))
+        return search_points(torsor, height, stop_at_first)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent, "search_points", record)
+        for k, height in ks:
+            descend(k, height)
+    return calls
+
+
+def test_search_answers_alike_with_cold_and_warm_periods():
+    """The 1,699 searches descend makes on both benchmark populations give
+    the same points, in both forms, when each call starts from an empty
+    period cache and when the calls run in reverse order through one
+    cache, which then holds the periods of other torsors and evicts."""
+    calls = _reference_search_calls()
+    assert len(calls) == 1699
+    for stop_at_first in (True, False):
+        cold = []
+        for t, height in calls:
+            descent._PERIODS.clear()
+            cold.append(search_points(t, height, stop_at_first))
+        warm = [search_points(t, height, stop_at_first) for t, height in reversed(calls)]
+        assert warm[::-1] == cold, stop_at_first
+        assert descent._PERIODS.nbytes > descent._PERIOD_BUDGET // 2  # it filled
+    assert sum(map(len, cold)) >= 500  # 519 points, not only empty lists
+
+
+def test_shared_periods_survive_threads(monkeypatch):
+    """Six threads search the same torsors through one cache kept small
+    enough to evict all the time, switching every microsecond: every
+    thread gets the serial answers, and nbytes stays the sum of what the
+    cache holds, which a lost update of it would break."""
+    torsors = [t for t, _ in _reference_search_calls()[:120]]
+    expected = [search_points(t, 200) for t in torsors]
+    monkeypatch.setattr(descent, "_PERIOD_BUDGET", 64 << 10)
+    descent._PERIODS.clear()
+    results = [None] * 6
+
+    def work(i):
+        results[i] = [search_points(t, 200) for t in torsors[i:] + torsors[:i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i, got in enumerate(results):
+        assert got == expected[i:] + expected[:i], i
+    held = sum(len(v) + descent._ENTRY_BYTES for v in descent._PERIODS.values())
+    assert descent._PERIODS.nbytes == held <= 64 << 10
 
 
 @pytest.mark.parametrize("q", descent._SIEVE_MODULI)
 def test_sieve_rows_match_their_definition(q):
-    """Both forms of _rows, bit by bit: bit M of row e is set exactly when
-    b1 M^4 + b2 e^4 is a square mod q. A row that keeps too many bits drops
-    no point, so only this test sees it; the point tests above see a cut
-    that drops one."""
+    """_period and _row, bit by bit: bit M of row e is set exactly when
+    b1 M^4 + b2 e^4 is a square mod q, on the repeated rows past p too. A
+    row that keeps too many bits drops no point, so only this test sees
+    it; the point tests above see a cut that drops one."""
     p = 16 if q == 64 else q
     squares = {x * x % q for x in range(q)}
     for b1, b2 in ((1, 1), (0, 3), (-7, 0), (0, 0), (2, -1), (q + 5, -2 * q - 3), (-1, 17)):
@@ -440,10 +524,11 @@ def test_sieve_rows_match_their_definition(q):
                 bits = (1 << m for m in range(8 * nb) if (b1 * m**4 + b2 * e**4) % q in squares)
                 return sum(bits).to_bytes(nb, "little")
 
-            period = descent._rows(q, b1, b2, nb)
-            assert period == b"".join(map(row, range(p))), (b1, b2, nb)
+            for rows in (1, 2, p, p + 1, 3 * p + 2):
+                period = descent._period(q, b1, b2, nb, rows)
+                assert period == b"".join(map(row, range(p + rows - 1))), (b1, b2, nb, rows)
             for e in (0, 1, 2, p - 1, p, p + 3, 3 * p + 2):
-                assert descent._rows(q, b1, b2, nb, e) == row(e), (b1, b2, nb, e)
+                assert descent._row(q, b1, b2, nb, e) == row(e), (b1, b2, nb, e)
 
 
 # --- full descent -------------------------------------------------------------
@@ -897,8 +982,52 @@ def test_search_memory_does_not_grow_with_calls():
     found, kept, peak = map(int, _run_child(code).split())
     assert len(torsors) >= 50 and found >= len(torsors) + 2
     nb = (10**4 + 8) // 8
-    assert kept < 1 << 20, kept  # tiles and tile tuples
+    assert kept < 1 << 20, kept  # tiles, tile tuples and the last search's periods
     assert peak <= 400 * max(descent._BLOCK_BYTES, nb) + 400 * nb + kept, peak
+
+
+# stop_at_first searches at heights 2000 and 6000, whose blocks have 8 and 2
+# rows, on the Selmer torsors TORSORS: their periods overfill the shared
+# cache. tracemalloc counts what stays after the calls, then what stays once
+# the periods are dropped: the tiles and the other height-free tables.
+_PERIOD_MEMORY = """
+import gc, resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from cndescent import descent
+from cndescent.descent import Torsor, search_points
+torsors = [Torsor(*t) for t in TORSORS]
+tracemalloc.start()
+most = 0
+for height in (2000, 6000):
+    for t in torsors:
+        search_points(t, height, stop_at_first=True)
+        most = max(most, descent._PERIODS.nbytes)
+kept = tracemalloc.get_traced_memory()[0]
+descent._PERIODS.clear()
+gc.collect()
+print(most, kept, tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_period_cache_stays_within_its_budget():
+    """The bytes the shared period cache charges never pass its budget,
+    and what it really holds, its keys and nodes included, fits in that
+    budget too: after the calls only the tiles and the budget stay."""
+    torsors = []
+    for k in range(1, 1000):
+        if factor(k).squarefree_part() != k:
+            continue
+        for side in (PSI, PHI):
+            const = _torsor_constant(k, side)
+            torsors += [(side, b1, const // b1) for b1 in selmer_group(k, side) if b1 != 1]
+        if len(torsors) >= 50:
+            break
+    code = _PERIOD_MEMORY.replace("TORSORS", repr(torsors))
+    most, kept, tiles = map(int, _run_child(code).split())
+    budget = descent._PERIOD_BUDGET
+    assert budget // 2 < most <= budget, most  # filled, and evicting
+    assert tiles < 1 << 20, tiles
+    assert kept <= tiles + budget, (kept, tiles)
 
 
 def test_profile_classification_repr_does_not_follow_the_string_hash():
