@@ -288,14 +288,12 @@ def factor(n: int) -> FactoredInteger:
     perfect-square check, `is_prime`, and Pollard-Brent rho. Above the
     budget _FACTOR_LIMIT (10^18) raises FactorBudgetExceeded rather than
     stalling; the hardest case left to rho is two primes near 10^9. The
-    largest numbers the package factors are the torsor constants -k^2 and
-    4k^2 (odd k) or k^2/4 (even k), so descend handles odd k up to 5*10^8
-    and even k up to 10^9, and raises FactorBudgetExceeded above that.
+    only number descend factors is k itself, so it handles any k up to
+    10^18 and raises FactorBudgetExceeded above that.
 
     Memoized for the last 256 distinct n. A FactoredInteger is a tuple of
-    ints and tuples, so every caller can share one result. Every
-    torsor of a side has the same constant b1 b2, so a descend factors three
-    integers, -k^2, the phi constant and k, however many torsors it tests.
+    ints and tuples, so every caller can share one result: a descend
+    factors k once for its Selmer groups, torsion classes and criteria.
     Errors are not cached: factor(0) or an n over the budget raises on every
     call.
     """

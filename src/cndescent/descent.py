@@ -62,7 +62,8 @@ def _torsor_constant(k: int, side: str) -> int:
 
 def enumerate_torsors(k: int, side: str) -> dict[int, Torsor]:
     """All candidate b1 classes for the given isogeny side, keyed by b1 in
-    the group order (|b1|, b1 < 0).
+    the group order (|b1|, b1 < 0): with locally_solvable, the oracle that
+    selmer_group is tested against, as it factors the torsor constant.
 
     psi: b1 runs over +-(squarefree divisors of k); phi: over the positive
     squarefree divisors of the torsor constant's radical, which is that of
@@ -149,14 +150,14 @@ def solvable_at(b1: int, b2: int, q: int) -> bool:
 
 
 def locally_solvable(b1: int, b2: int) -> bool:
-    """Everywhere-local solvability (R and all relevant Q_q).
+    """Everywhere-local solvability (R and all relevant Q_q), torsor by
+    torsor: the oracle of selmer_group, which tests local classes instead.
 
     Only q | 2 b1 b2 need checking: elsewhere the reduced curve is a
     smooth genus-1 curve over F_q, has a point by the Hasse bound, and
-    the point lifts. b1 b2 is the side's torsor constant for every torsor
-    of a side, so the memoized `factor` factors it once per side, not
-    once per call. Raises BadResidueClass when b1 or b2 is 0, as
-    solvable_at does, or not an int.
+    the point lifts. Factors b1 b2, so it raises FactorBudgetExceeded past
+    10^18. Raises BadResidueClass when b1 or b2 is 0, as solvable_at does,
+    or not an int.
     """
     if not (is_int(b1) and is_int(b2)) or b1 == 0 or b2 == 0:
         raise BadResidueClass(f"locally_solvable needs nonzero int b1, b2, got {b1!r}, {b2!r}")
@@ -166,14 +167,63 @@ def locally_solvable(b1: int, b2: int) -> bool:
     return all(solvable_at(b1, b2, q) for q in sorted(qs))
 
 
+def _local_class(x: int, q: int) -> int:
+    """The class of a squarefree x in Q_q*/Q_q*^2 as bits: bit 0 is v_q(x),
+    and the unit u = x / q^v sets bit 1 when (u/q) = -1 at odd q, and
+    bits 1 and 2 to u mod 8 less 1 at q = 2."""
+    v = x % q == 0
+    u = x // q if v else x
+    return v | (u & 6 if q == 2 else 2 * (_legendre(u, q) < 0))
+
+
 def selmer_group(k: int, side: str) -> SquareClassGroup:
-    """Everywhere-locally-solvable classes; verified to be a group."""
-    classes = [
-        t.b1
-        for t in enumerate_torsors(k, side).values()
-        if locally_solvable(t.b1, t.b2)
-    ]
-    return SquareClassGroup.from_elements(classes)  # NotAGroup on solver bugs
+    """The classes b1 of the side's candidate group G whose torsor, with
+    b2 = c / b1 for the side's constant c, is solvable over R and every Q_q.
+
+    G is <-1, primes of k> on psi and <primes of c> on phi: those of 2k for
+    odd k, of k for 4 | k, and of k but 2 for k = 2 mod 4. Four facts
+    leave a few solvable_at tests:
+    - Solvability at q depends only on the class of b1 in Q_q*/Q_q*^2: for
+      b1' = b1 / t^2, b2' = b2 t^2, and (N, M, e) -> (tN, tM, e) takes a
+      point of one torsor to one of the other.
+    - The classes solvable at q are a subgroup: the image of the Kummer
+      map from the partner curve's Q_q-points to Q_q*/Q_q*^2, a
+      homomorphism (Silverman, AEC X.4.9; Cassels, Lectures §15).
+    - q not dividing 2k needs no test: c's primes are among 2k's, so q
+      does not divide 2 b1 b2, as in locally_solvable.
+    - R holds on all of G: b1 b2 = -k^2 < 0 on psi, and b1 > 0 on phi.
+
+    So Sel is the meet over q in {2} and the primes of k of the preimages
+    of the local images. At each q, _local_class maps the basis to bits,
+    and products of the basis represent each class of the span's image,
+    at most 4 at odd q and 8 at q = 2. A class outside the span of the
+    solvable ones found so far gets one test, on its representative. The
+    next basis is the kernel of span -> image / solvable: each element
+    whose bits a representative already had, times it, and each
+    representative that grew the solvable classes. Only k is factored.
+    """
+    const = _torsor_constant(k, side)
+    primes = [q for q, _ in factor(k).factors]
+    places = sorted({2, *primes})
+    basis = [-1, *primes] if side == PSI else [q for q in places if q > 2 or k % 4 != 2]
+    for q in places:
+        reps = {0: 1}  # each class of the image so far, with a product of the basis
+        kept = []
+        for g in basis:
+            v = _local_class(g, q)
+            if v in reps:
+                kept.append(squarefree_mul(g, reps[v]))
+            else:
+                reps.update([(v ^ w, squarefree_mul(g, r)) for w, r in reps.items()])
+        good = {0}
+        for v, r in reps.items():
+            if v not in good and solvable_at(r, const // r, q):
+                good |= {v ^ w for w in good}
+                kept.append(r)
+        basis = kept
+    group = {1}
+    _extend(group, basis, squarefree_mul)
+    return SquareClassGroup(group)
 
 
 # --- global points --------------------------------------------------------

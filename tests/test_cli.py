@@ -67,6 +67,13 @@ def test_selmer(capsys):
     assert obj["selmer_phi"] == [1, 17]
 
 
+def test_selmer_of_a_k_whose_torsor_constant_is_past_the_factor_budget(capsys):
+    # 3234846615 = 3 * 5 * ... * 29; 4k^2 is past 10^18, k is not
+    code, out = run(capsys, ["selmer", "--k", "3234846615", "--json"])
+    assert code == 0
+    assert json.loads(out)["selmer_phi"] == [1]
+
+
 def test_grid(capsys):
     code, out = run(capsys, ["grid"])
     assert code == 0

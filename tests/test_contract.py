@@ -191,6 +191,7 @@ PROBES = {
         "selmer_group(18, PHI)": "answer",
         "selmer_group(697, 'chi')": "PreconditionUnmet",
         "selmer_group(BIG, PSI)": "FactorBudgetExceeded",
+        "selmer_group(10**9 + 7, PSI)": "answer",
     },
     "locally_solvable": {
         "locally_solvable(17, -17 * 697**2)": "answer",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -290,6 +291,46 @@ def test_selmer_iterates_in_torsor_order():
             const = _torsor_constant(k, side)
             for b1 in sel:
                 assert Torsor(side, b1, const // b1) == torsors[b1], (k, side, b1)
+
+
+def test_selmer_group_equals_the_torsor_oracle_in_few_local_tests(monkeypatch):
+    """selmer_group, from the local images, is the set of torsors that
+    locally_solvable accepts, for every k < 3000 and two k of many primes;
+    each local class costs at most one test, so at most 7 at q = 2 and 3
+    at each odd prime of k."""
+    places = []
+
+    def counted(b1, b2, q):
+        places.append(q)
+        return solvable_at(b1, b2, q)
+
+    monkeypatch.setattr(descent, "solvable_at", counted)
+    for k in [*range(1, 3000), 30030, 223092870]:
+        for side in (PSI, PHI):
+            places.clear()
+            sel = list(selmer_group(k, side))
+            tests = Counter(places)
+            want = [t.b1 for t in enumerate_torsors(k, side).values() if locally_solvable(t.b1, t.b2)]
+            assert sel == want, (k, side)
+            assert tests.keys() <= {2} | {q for q, _ in factor(k).factors}, (k, side)
+            assert tests[2] <= 7 and all(n <= 3 for q, n in tests.items() if q > 2), (k, side)
+
+
+@pytest.mark.parametrize("k", [10**9 + 7, 3234846615, 100280245065, 307444891294245705])
+def test_selmer_group_of_a_large_k_factors_k_alone(k):
+    """Each of these k has a torsor constant past factor's budget. The rule
+    is evaluated torsor by torsor: G is spanned by the primes of {2} and of
+    k that divide c (and -1 on psi), and a class of G is in Sel when b1 or
+    b2 is positive and solvable_at holds at every such prime."""
+    places = sorted({2} | {q for q, _ in factor(k).factors})
+    for side in (PSI, PHI):
+        c = _torsor_constant(k, side)
+        gens = [-1] * (side == PSI) + [q for q in places if c % q == 0]
+        want = [
+            b1 for b1 in SquareClassGroup.span(*gens)
+            if (b1 > 0 or c // b1 > 0) and all(solvable_at(b1, c // b1, q) for q in places)
+        ]
+        assert list(selmer_group(k, side)) == want, side
 
 
 # --- point search -------------------------------------------------------------
@@ -688,29 +729,28 @@ def test_descent_agrees_with_tunnell():
 
 
 def test_descend_factors_each_integer_once():
-    """Every torsor of a side has the same constant b1 b2, so through the
-    memoized factor a descend factors three integers once each: -k^2, the
-    phi constant k^2/4 and k (for the torsion classes and the criteria)."""
+    """A descend factors one integer, k, once: the Selmer groups, the
+    torsion classes and the criteria share the memoized factorization, and
+    no torsor constant is factored."""
     k = 30030
     factor.cache_clear()
     descend(k, 50)
-    done = factor.cache_info()
-    assert done.misses == 3 and done.hits > 100
-    for n in (-k * k, k * k // 4, k):
-        factor(n)
-    assert factor.cache_info().misses == 3
+    assert factor.cache_info().misses == 1
+    factor(k)
+    assert factor.cache_info().misses == 1
 
 
-def test_descend_enumerates_each_side_once(monkeypatch):
+def test_descend_calls_no_torsor_oracle(monkeypatch):
+    # enumerate_torsors and locally_solvable are the oracle of selmer_group
     calls = []
 
-    def counted(k, side):
-        calls.append(side)
-        return enumerate_torsors(k, side)
+    def counted(name):
+        return lambda *args: calls.append(name)
 
-    monkeypatch.setattr(descent, "enumerate_torsors", counted)
+    monkeypatch.setattr(descent, "enumerate_torsors", counted("enumerate_torsors"))
+    monkeypatch.setattr(descent, "locally_solvable", counted("locally_solvable"))
     descend(30030, 50)
-    assert sorted(calls) == [PHI, PSI]
+    assert calls == []
 
 
 def _descend_beside_uncovered(monkeypatch, k: int, height: int):
@@ -909,8 +949,10 @@ from cndescent.errors import BadResidueClass, FactorBudgetExceeded
 print(selmer_group(10007, "psi").describe())
 print(selmer_group(1306, "psi").describe())
 print(descend(2**20 * 7, 50).rank_upper)
+rep = descend(999999937, 50)
+print(rep.rank_lower, rep.rank_upper)
 try:
-    descend(999999937, 50)
+    descend(10**19 + 1, 50)
 except FactorBudgetExceeded:
     print("FactorBudgetExceeded")
 for b1, b2, q in ((0, 5, 3), (5, 0, 2), (3, 5, 1), (3, 5, -1)):
@@ -938,7 +980,7 @@ def test_hard_inputs_finish_in_bounded_memory():
     out = _run_child(_HARD_INPUTS)
     # E_{2^20 * 7} is E_7 rescaled, and 7 is congruent: rank 1
     assert out.splitlines() == [
-        "<-1, 10007>", "<-1, 1306>", "1", "FactorBudgetExceeded",
+        "<-1, 10007>", "<-1, 1306>", "1", "0 2", "FactorBudgetExceeded",
         "BadResidueClass", "BadResidueClass", "BadResidueClass", "BadResidueClass",
     ]
 
